@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal e1
+.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal benchmark e1
 
 ## check: the tier-1 gate — vet, lint, build, and test everything.
 check: vet lint build test
@@ -76,6 +76,13 @@ bench-obs:
 ## BENCH_safecommit.json.
 bench-wal:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitWAL' -benchmem -count 3 .
+
+## benchmark: the transaction benchmark BENCHMARK.json declares — five
+## workloads, four end-to-end metrics each, then a layer-by-layer traced
+## pass (minutes; bench/README.md has the flags for a shorter run and for
+## comparing two results). Builds under .bench_build/, writes bench/out/.
+benchmark:
+	bash bench/run.sh
 
 ## e1: print the headline experiment grid at test scale.
 e1:

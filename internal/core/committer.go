@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 
+	"tintin/internal/obs"
 	"tintin/internal/sched"
 	"tintin/internal/sqltypes"
 )
@@ -58,19 +59,14 @@ func (t *Tool) commitBatch(batch []sched.Delta) ([]sched.Ack[*CommitResult], err
 			panic(r)
 		}
 	}()
-	// One trace per batch: the SafeCommit calls below (group pass,
-	// attribution re-checks) nest under it via t.batchSpan, so a slow batch
-	// shows its whole decomposition in a single span tree. All of this runs
-	// on the leader goroutine, which is the only writer of batchSpan.
+	// One trace per batch: the commits below (group pass, attribution
+	// re-checks) are handed its root span and nest under it, so a slow batch
+	// shows its whole decomposition in a single span tree. With tracing off
+	// the span is nil and every call on it is a no-op.
 	trace := t.tracer.Start("commit_batch")
-	if trace != nil {
-		t.batchSpan = trace.Root()
-		t.batchSpan.SetAttrInt("deltas", int64(len(batch)))
-		defer func() {
-			t.batchSpan = nil
-			trace.Finish()
-		}()
-	}
+	defer trace.Finish()
+	span := trace.Root()
+	span.SetAttrInt("deltas", int64(len(batch)))
 	acks := make([]sched.Ack[*CommitResult], len(batch))
 	if len(batch) > 1 {
 		if err := t.stageDeltas(batch); err != nil {
@@ -78,7 +74,7 @@ func (t *Tool) commitBatch(batch []sched.Delta) ([]sched.Ack[*CommitResult], err
 			// individual pass pin the failure on its own delta.
 			t.db.TruncateEvents()
 		} else {
-			res, err := t.SafeCommit()
+			res, err := t.safeCommitUnder(span)
 			if err != nil {
 				// A batch apply error (e.g. one delta inserting a duplicate
 				// primary key) leaves the database untouched — ApplyEvents
@@ -99,18 +95,19 @@ func (t *Tool) commitBatch(batch []sched.Delta) ([]sched.Ack[*CommitResult], err
 			} else {
 				// Rejected: some delta is guilty. Attribute instead of
 				// falling straight back to O(batch) individual re-checks.
-				t.resolveRejected(batch, res, acks)
+				t.resolveRejected(span, batch, res, acks)
 				return acks, nil
 			}
 		}
 	}
-	t.commitEach(batch, acks, nil)
+	t.commitEach(span, batch, acks, nil)
 	return acks, nil
 }
 
 // commitEach runs the per-delta fallback over the indexes in idx (nil =
-// every delta), writing each verdict into acks.
-func (t *Tool) commitEach(batch []sched.Delta, acks []sched.Ack[*CommitResult], idx []int) {
+// every delta), writing each verdict into acks. span is the batch span the
+// commits nest under (nil when tracing is off), here and below.
+func (t *Tool) commitEach(span *obs.Span, batch []sched.Delta, acks []sched.Ack[*CommitResult], idx []int) {
 	if idx == nil {
 		idx = make([]int, len(batch))
 		for i := range idx {
@@ -118,7 +115,7 @@ func (t *Tool) commitEach(batch []sched.Delta, acks []sched.Ack[*CommitResult], 
 		}
 	}
 	for _, i := range idx {
-		res, err := t.commitOne(batch[i])
+		res, err := t.commitOne(span, batch[i])
 		acks[i] = sched.Ack[*CommitResult]{Res: res, Err: err}
 	}
 }
@@ -134,8 +131,8 @@ func (t *Tool) commitEach(batch []sched.Delta, acks []sched.Ack[*CommitResult], 
 // back to the per-delta pass. The remainder commits first, so an
 // implicated delta's re-check sees the clean sessions' effects — the same
 // serialization the old full fallback converged to.
-func (t *Tool) resolveRejected(batch []sched.Delta, res *CommitResult, acks []sched.Ack[*CommitResult]) {
-	as := t.batchSpan.Child("attribution")
+func (t *Tool) resolveRejected(span *obs.Span, batch []sched.Delta, res *CommitResult, acks []sched.Ack[*CommitResult]) {
+	as := span.Child("attribution")
 	keys := violationKeySet(res.Violations)
 	var implicated, rest []int
 	for i := range batch {
@@ -153,39 +150,39 @@ func (t *Tool) resolveRejected(batch []sched.Delta, res *CommitResult, acks []sc
 		// Attribution told us nothing (matched nobody or everybody):
 		// degrade to the plain per-delta pass.
 		t.met.attribFallbacks.Inc()
-		t.commitEach(batch, acks, nil)
+		t.commitEach(span, batch, acks, nil)
 		return
 	}
 	t.met.attribRechecks.Add(int64(len(implicated)))
-	t.commitGroup(batch, acks, rest)
-	t.commitEach(batch, acks, implicated)
+	t.commitGroup(span, batch, acks, rest)
+	t.commitEach(span, batch, acks, implicated)
 }
 
 // commitGroup stages and checks the deltas at idx as one unit, acking each
 // with a copy of the shared result; any rejection or error degrades to the
 // per-delta pass over the same indexes.
-func (t *Tool) commitGroup(batch []sched.Delta, acks []sched.Ack[*CommitResult], idx []int) {
+func (t *Tool) commitGroup(span *obs.Span, batch []sched.Delta, acks []sched.Ack[*CommitResult], idx []int) {
 	if len(idx) == 1 {
-		t.commitEach(batch, acks, idx)
+		t.commitEach(span, batch, acks, idx)
 		return
 	}
 	for _, i := range idx {
 		if err := t.stageDelta(batch[i]); err != nil {
 			t.db.TruncateEvents()
-			t.commitEach(batch, acks, idx)
+			t.commitEach(span, batch, acks, idx)
 			return
 		}
 	}
-	res, err := t.SafeCommit()
+	res, err := t.safeCommitUnder(span)
 	if err != nil {
 		t.db.TruncateEvents()
-		t.commitEach(batch, acks, idx)
+		t.commitEach(span, batch, acks, idx)
 		return
 	}
 	if !res.Committed {
 		// The attribution missed the guilty delta (events are already
 		// truncated by the rejection path); per-delta re-check decides.
-		t.commitEach(batch, acks, idx)
+		t.commitEach(span, batch, acks, idx)
 		return
 	}
 	for _, i := range idx {
@@ -262,12 +259,12 @@ func (t *Tool) keyColumnOffsets(table string, n int) []int {
 // empty on entry: the leader truncates between passes). A failed
 // SafeCommit — e.g. an apply error — must not leak staged events into the
 // next delta's pass, so the error path rewinds them.
-func (t *Tool) commitOne(d sched.Delta) (*CommitResult, error) {
+func (t *Tool) commitOne(span *obs.Span, d sched.Delta) (*CommitResult, error) {
 	if err := t.stageDelta(d); err != nil {
 		t.db.TruncateEvents()
 		return nil, err
 	}
-	res, err := t.SafeCommit()
+	res, err := t.safeCommitUnder(span)
 	if err != nil {
 		t.db.TruncateEvents()
 		return nil, err

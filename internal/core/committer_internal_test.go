@@ -131,7 +131,7 @@ func TestCommitBatchAttributionMiss(t *testing.T) {
 		Rows:      []sqltypes.Row{{sqltypes.NewInt(999999)}},
 	}}}
 	acks := make([]sched.Ack[*CommitResult], len(batch))
-	tool.resolveRejected(batch, fake, acks)
+	tool.resolveRejected(nil, batch, fake, acks)
 	if !acks[0].Res.Committed {
 		t.Fatalf("clean delta rejected on attribution miss: %+v", acks[0].Res)
 	}

@@ -36,12 +36,13 @@ type Options struct {
 	SkipEmptyEventViews bool
 	// DisableIndexProbes forces full scans in the evaluator (E4 ablation).
 	DisableIndexProbes bool
-	// Workers sets the commit-check fan-out: with Workers > 1 safeCommit
-	// checks independent incremental views concurrently on a worker pool
-	// (each worker running private plan clones over the frozen database)
-	// and merges violations deterministically in assertion order. 0 or 1
-	// takes the serial path on the calling goroutine; any worker count
-	// produces identical CommitResults (TestParallelCheckParity).
+	// Workers sets the commit-check fan-out. Every check runs through the
+	// same worker pool — private plan clones over the frozen database,
+	// violations merged deterministically in assertion order — and Workers
+	// is only its width: with Workers > 1 independent incremental views are
+	// checked concurrently, with 0 or 1 the pool's single worker runs them
+	// one after another on the calling goroutine. Any worker count produces
+	// identical CommitResults (TestParallelCheckParity).
 	Workers int
 	// SplitThreshold guides intra-view parallelism when Workers > 1: a view
 	// whose estimated check duration (an EWMA of observed durations, see
@@ -181,22 +182,18 @@ type Tool struct {
 	order   []string
 	asserts map[string]*Assertion
 
-	// pool is the parallel commit-check scheduler (nil when Workers <= 1).
-	pool *sched.Pool
+	// pool is the commit-check scheduler; tasks is the task-list scratch
+	// handed to it, reused across commits.
+	pool  *sched.Pool
+	tasks []sched.Task
 	// cost estimates per-view check durations (EWMA) for the task splitter.
 	cost costModel
-	// checkRes is the serial path's reusable result buffer: the common
-	// no-violation check re-executes plans into it without allocating
-	// result storage. Violation rows are copied out before reuse.
-	checkRes engine.Result
 
 	// met holds the resolved metric pointers (all nil when Options.Metrics
 	// is unset); tracer records per-commit span trees (nil when tracing is
-	// off). batchSpan, set only while the group committer's leader drives a
-	// batch, nests that batch's SafeCommit spans under the batch trace.
-	met       toolMetrics
-	tracer    *obs.Tracer
-	batchSpan *obs.Span
+	// off).
+	met    toolMetrics
+	tracer *obs.Tracer
 
 	// wal is the attached durability state (nil = in-memory only).
 	wal *walState
@@ -209,11 +206,9 @@ func New(db *storage.DB, opts Options) *Tool {
 		eng:     engine.New(db),
 		opts:    opts,
 		asserts: make(map[string]*Assertion),
+		pool:    sched.NewPool(opts.Workers),
 	}
-	if opts.Workers > 1 {
-		t.pool = sched.NewPool(opts.Workers)
-		t.pool.SetProfileLabels(opts.ProfileLabels)
-	}
+	t.pool.SetProfileLabels(opts.ProfileLabels)
 	if opts.Metrics != nil {
 		t.initMetrics(opts.Metrics)
 	}
@@ -446,8 +441,8 @@ func (t *Tool) check(parent *obs.Span) (*CommitResult, error) {
 	}
 
 	// The pre-pass produces the check list — one entry per view that could
-	// be affected — and the skip accounting; evaluation then runs serially
-	// or fans out across the scheduler, with identical results either way.
+	// be affected — and the skip accounting; evaluation then runs through
+	// the scheduler, with identical results at any width.
 	var checks []viewCheck
 	for _, name := range t.order {
 		a := t.asserts[name]
@@ -470,19 +465,10 @@ func (t *Tool) check(parent *obs.Span) (*CommitResult, error) {
 	}
 
 	res.ViewDurations = make([]ViewDuration, 0, len(checks))
-	// Route to the pool when there is anything to overlap: several views,
-	// or a single view the cost model wants to split — the one-hot-view
-	// schema is exactly the case intra-view parallelism exists for, so a
-	// length-1 check list must not force the serial path.
 	cs := parent.Child("check")
 	cs.SetAttrInt("views_checked", int64(res.ViewsChecked))
 	cs.SetAttrInt("views_skipped", int64(res.ViewsSkipped))
-	var err error
-	if parts := t.splitDecision(checks); parts != nil {
-		err = t.checkParallel(checks, parts, res, cs)
-	} else {
-		err = t.checkSerial(checks, res, cs)
-	}
+	err := t.runChecks(checks, res, cs)
 	cs.End()
 	if err != nil {
 		return nil, err
@@ -507,21 +493,6 @@ type viewCheck struct {
 	view      string
 }
 
-// splitDecision returns the per-check partition counts when the check list
-// should fan out across the pool, nil when the serial path is right: no
-// pool, an empty list, or a single view the splitter would leave whole
-// (where the pool's freeze/merge machinery buys nothing).
-func (t *Tool) splitDecision(checks []viewCheck) []int {
-	if t.pool == nil || len(checks) == 0 {
-		return nil
-	}
-	parts := t.cost.splitParts(checks, t.pool.Workers(), t.opts.SplitThreshold)
-	if len(checks) == 1 && parts[0] <= 1 {
-		return nil
-	}
-	return parts
-}
-
 // rowLimit is the per-view row cap the options imply (0 = no cap).
 func (t *Tool) rowLimit() int {
 	if t.opts.FailFast {
@@ -530,86 +501,44 @@ func (t *Tool) rowLimit() int {
 	return 0
 }
 
-// checkSerial evaluates the check list in order on the calling goroutine,
-// reusing the tool's result buffer. Every view's duration is measured and
-// fed to the cost model even on this path, so a tool later reconfigured for
-// (or benchmarked against) the parallel splitter starts with warm
-// estimates, and -perview skew tables work without workers.
-func (t *Tool) checkSerial(checks []viewCheck, res *CommitResult, parent *obs.Span) error {
-	limit := t.rowLimit()
-	for _, c := range checks {
-		//tintin:allow hotpathcompile cache hit for installed views; TestSafeCommitUsesPlanCache pins zero commit-time compiles
-		p, err := t.eng.PrepareView(c.view)
-		if err != nil {
-			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
-		}
-		sp := parent.Child("task")
-		sp.SetAttr("view", c.view)
-		sp.SetAttr("lane", "serial")
-		start := time.Now()
-		//tintin:allow hotpathcompile re-plans only for non-cacheable plans, which opt out of the cache by design
-		if err := p.QueryLimitInto(limit, &t.checkRes); err != nil {
-			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
-		}
-		d := time.Since(start)
-		sp.SetAttrInt("rows", int64(len(t.checkRes.Rows)))
-		sp.End()
-		res.ViewDurations = append(res.ViewDurations, ViewDuration{View: c.view, Duration: d})
-		t.observeView(c.view, d)
-		if len(t.checkRes.Rows) > 0 {
-			res.Violations = append(res.Violations, Violation{
-				Assertion: c.assertion.Name,
-				EDC:       c.edcName,
-				View:      c.view,
-				Columns:   t.checkRes.Columns,
-				Rows:      append([]sqltypes.Row(nil), t.checkRes.Rows...),
-			})
-		}
-	}
-	return nil
-}
-
-// checkParallel fans the check list out across the scheduler's worker
-// pool. Plans are resolved (and any missing probe index built) serially
-// before the fan-out; the database is frozen for its duration so every
-// worker probes an immutable snapshot; and outcomes are merged back in
-// check-list order, so violation ordering is identical to the serial path.
+// runChecks evaluates the check list through the scheduler's worker pool.
+// Plans are resolved (and any missing probe index built) before the pool
+// runs; the database is frozen for the run's duration so every worker probes
+// an immutable snapshot; and outcomes are merged back in check-list order, so
+// violation ordering does not depend on the pool's width. Every view's
+// duration is measured and fed to the cost model.
 //
-// The cost model then decides which views to split: a view whose estimated
+// The cost model decides which views to split: a view whose estimated
 // duration exceeds the split threshold (see Options.SplitThreshold) and
 // whose plan is driven by an event-table scan becomes several partition
 // subtasks instead of one task, so the slowest view no longer bounds the
 // fan-out's makespan. The pool merges partition outputs in range order, so
 // splitting never changes a CommitResult.
-func (t *Tool) checkParallel(checks []viewCheck, parts []int, res *CommitResult, parent *obs.Span) error {
+func (t *Tool) runChecks(checks []viewCheck, res *CommitResult, parent *obs.Span) error {
 	limit := t.rowLimit()
-	tasks := make([]sched.Task, len(checks))
+	parts := t.cost.splitParts(checks, t.pool.Workers(), t.opts.SplitThreshold)
+	tasks := t.tasks[:0]
 	for i, c := range checks {
 		//tintin:allow hotpathcompile cache hit for installed views; TestSafeCommitUsesPlanCache pins zero commit-time compiles
 		p, err := t.eng.PrepareView(c.view)
 		if err != nil {
 			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
 		}
-		if !p.Cacheable() {
-			// Non-cacheable plans re-plan per execution and may build
-			// indexes on demand: the scheduler runs them on its serial lane.
-			tasks[i] = sched.Task{Plan: p, Serial: true, Limit: limit}
-			continue
-		}
 		if err := p.EnsureIndexes(); err != nil {
 			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
 		}
-		tasks[i] = sched.Task{Plan: p, Limit: limit}
+		task := sched.Task{Plan: p, Limit: limit}
 		if parts[i] > 1 && splittable(p) {
-			tasks[i].Parts = parts[i]
+			task.Parts = parts[i]
 		}
+		tasks = append(tasks, task)
 	}
+	t.tasks = tasks
 
 	fs := parent.Child("freeze")
 	t.db.Freeze()
 	fs.End()
 	defer t.db.Thaw() // deferred: a panic escaping the pool must not leave the db frozen
-	//tintin:allow hotpathcompile the pool's serial lane re-plans non-cacheable plans only; cacheable tasks run prepared execs
 	outs := t.pool.RunSpan(tasks, parent)
 
 	for i, out := range outs {
@@ -645,12 +574,15 @@ func anyTrigger(triggers []string, nonEmpty map[string]bool) bool {
 // update and, when no assertion is violated, applies the events to the base
 // tables; either way the event tables are truncated afterwards so a new
 // update can be proposed.
-func (t *Tool) SafeCommit() (*CommitResult, error) {
-	// Root the span tree: under the group committer's leader the batch
-	// trace is already open and this commit nests inside it; a direct call
-	// starts (or, with tracing off, skips) its own trace.
+func (t *Tool) SafeCommit() (*CommitResult, error) { return t.safeCommitUnder(nil) }
+
+// safeCommitUnder is SafeCommit with its span tree rooted under parent: the
+// group committer's leader passes the open batch span and this commit nests
+// inside that trace; a nil parent (a direct call) starts — or, with tracing
+// off, skips — a trace of its own.
+func (t *Tool) safeCommitUnder(parent *obs.Span) (*CommitResult, error) {
 	var trace *obs.Trace
-	root := t.batchSpan.Child("safecommit")
+	root := parent.Child("safecommit")
 	if root == nil {
 		trace = t.tracer.Start("safecommit")
 		root = trace.Root()

@@ -11,10 +11,12 @@ import (
 // splitter: an exponentially weighted moving average of each view's
 // observed check durations. It is deliberately tiny — commit checks run at
 // microsecond scale, so the model must cost nanoseconds — and it needs no
-// locking: both check paths observe from the coordinating goroutine, never
+// locking: the check loop observes from the coordinating goroutine, never
 // from pool workers.
 type costModel struct {
 	est map[string]time.Duration
+	// parts is splitParts' result scratch, reused across commits.
+	parts []int
 }
 
 // costAlphaNum/Den is the EWMA weight of a new observation (0.3): heavy
@@ -65,12 +67,14 @@ const autoSplitFloor = 50 * time.Microsecond
 //
 // Parts are capped at the worker count — the pool pulls subtasks
 // dynamically, so finer cuts add merge overhead without improving the
-// makespan — and views with no estimate yet (first check) stay whole.
+// makespan — and views with no estimate yet (first check) stay whole. The
+// returned slice is valid until the next call.
 func (m *costModel) splitParts(checks []viewCheck, workers int, threshold time.Duration) []int {
-	parts := make([]int, len(checks))
-	for i := range parts {
-		parts[i] = 1
+	parts := m.parts[:0]
+	for range checks {
+		parts = append(parts, 1)
 	}
+	m.parts = parts
 	if workers <= 1 || threshold < 0 || len(checks) == 0 {
 		return parts
 	}

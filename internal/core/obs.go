@@ -73,17 +73,14 @@ func (t *Tool) initMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("tintin_plan_cache_hits", func() int64 { return int64(t.eng.PlanCacheStats().Hits) })
 	reg.GaugeFunc("tintin_plan_cache_misses", func() int64 { return int64(t.eng.PlanCacheStats().Misses) })
 	reg.GaugeFunc("tintin_plan_cache_invalidations", func() int64 { return int64(t.eng.PlanCacheStats().Invalidations) })
-	reg.GaugeFunc("tintin_plan_cache_fallbacks", func() int64 { return int64(t.eng.PlanCacheStats().Fallbacks) })
 
-	if t.pool != nil {
-		t.pool.SetMetrics(sched.PoolMetrics{
-			Tasks:      reg.Counter("tintin_sched_tasks_total"),
-			TasksSplit: reg.Counter("tintin_sched_tasks_split_total"),
-			Subtasks:   reg.Counter("tintin_sched_subtasks_total"),
-			QueueDepth: reg.Gauge("tintin_sched_queue_depth"),
-			BusyNS:     reg.Counter("tintin_sched_worker_busy_ns_total"),
-		})
-	}
+	t.pool.SetMetrics(sched.PoolMetrics{
+		Tasks:      reg.Counter("tintin_sched_tasks_total"),
+		TasksSplit: reg.Counter("tintin_sched_tasks_split_total"),
+		Subtasks:   reg.Counter("tintin_sched_subtasks_total"),
+		QueueDepth: reg.Gauge("tintin_sched_queue_depth"),
+		BusyNS:     reg.Counter("tintin_sched_worker_busy_ns_total"),
+	})
 }
 
 // committerMetrics builds the group-commit metric set for NewCommitter

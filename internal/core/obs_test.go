@@ -145,8 +145,8 @@ func TestMetricsUnderConcurrentCommits(t *testing.T) {
 }
 
 // TestSafeCommitTraceTree pins the span-tree shape of a traced, committed
-// SafeCommit on the serial path: normalize → check (with a per-view task
-// span) → apply, all under one safecommit root.
+// SafeCommit at the default width: normalize → check (freeze, a per-view
+// task span, merge) → apply, all under one safecommit root.
 func TestSafeCommitTraceTree(t *testing.T) {
 	db := storage.NewDB("trace")
 	opts := DefaultOptions()
@@ -196,10 +196,11 @@ func TestSafeCommitTraceTree(t *testing.T) {
 		}
 	}
 	check := tr.Root.Children[1]
-	if len(check.Children) != 1 || check.Children[0].Name != "task" {
-		t.Fatalf("check spans = %+v, want one task span", check.Children)
+	if len(check.Children) != 3 || check.Children[0].Name != "freeze" ||
+		check.Children[1].Name != "task" || check.Children[2].Name != "merge" {
+		t.Fatalf("check spans = %+v, want freeze, one task span, merge", check.Children)
 	}
-	task := check.Children[0]
+	task := check.Children[1]
 	var view, lane string
 	for _, a := range task.Attrs {
 		switch a.Key {
@@ -209,8 +210,8 @@ func TestSafeCommitTraceTree(t *testing.T) {
 			lane = a.Value()
 		}
 	}
-	if view == "" || lane != "serial" {
-		t.Fatalf("task attrs = %+v, want view attr and lane=serial", task.Attrs)
+	if view == "" || lane != "whole" {
+		t.Fatalf("task attrs = %+v, want view attr and lane=whole", task.Attrs)
 	}
 
 	// The rejected path swaps apply for truncate.

@@ -13,15 +13,7 @@ import (
 // value buffers, key scratch, level visitors, IN-subquery memos — is
 // private to the clone. Two goroutines may then execute the original and
 // the clone (or two clones) concurrently over a quiescent database.
-//
-// Non-cacheable plans (queries reading other views) re-plan per execution
-// and carry no reusable state; Clone returns the receiver unchanged, and
-// the scheduler must run them on its serial lane because re-planning may
-// build indexes on demand.
 func (p *PreparedQuery) Clone() *PreparedQuery {
-	if p.branches == nil {
-		return p
-	}
 	n := &PreparedQuery{
 		eng:           p.eng,
 		name:          p.name,
@@ -29,6 +21,7 @@ func (p *PreparedQuery) Clone() *PreparedQuery {
 		dedupe:        p.dedupe,
 		agg:           p.agg,
 		cols:          p.cols,
+		views:         p.views,
 		schemaVersion: p.schemaVersion,
 		noProbes:      p.noProbes,
 	}
@@ -73,8 +66,20 @@ func (c *cloner) cloneScope(s *scope) *scope {
 	}
 	n := &scope{
 		parent: c.cloneScope(s.parent),
-		srcs:   s.srcs, // sources are immutable plan shape (table ptr, col maps)
+		srcs:   s.srcs, // table sources are immutable plan shape (table ptr, col maps)
 		tuple:  make([]sqltypes.Row, len(s.tuple)),
+	}
+	// A view source holds per-execution output, so the clone gets its own,
+	// over a clone of the nested plan.
+	shared := true
+	for i, src := range s.srcs {
+		if src.view == nil {
+			continue
+		}
+		if shared {
+			n.srcs, shared = append([]*source(nil), s.srcs...), false
+		}
+		n.srcs[i] = &source{alias: src.alias, cols: src.cols, colIdx: src.colIdx, view: src.view.Clone()}
 	}
 	c.scopes[s] = n
 	return n

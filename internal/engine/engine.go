@@ -12,8 +12,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
@@ -57,9 +55,14 @@ func (e *Engine) QuerySQL(src string) (*Result, error) {
 	return e.Query(sel)
 }
 
-// Query evaluates a parsed SELECT.
+// Query evaluates a parsed SELECT: compile, then run — the executor stored
+// views use, minus the plan cache.
 func (e *Engine) Query(sel *sqlparser.Select) (*Result, error) {
-	return e.query(sel, nil)
+	p, err := e.prepare("", sel)
+	if err != nil {
+		return nil, err
+	}
+	return p.Query()
 }
 
 // QueryView evaluates the named stored view through its cached plan.
@@ -79,71 +82,4 @@ func (e *Engine) ViewNonEmpty(name string) (bool, error) {
 		return false, err
 	}
 	return p.NonEmpty()
-}
-
-func (e *Engine) query(sel *sqlparser.Select, outer *scope) (*Result, error) {
-	res := &Result{}
-	// A UNION without ALL anywhere in the chain dedupes across all branches;
-	// DISTINCT on a branch dedupes that branch's output.
-	unionDistinct := false
-	for s := sel; s != nil; s = s.Union {
-		if s.Union != nil && !s.UnionAll {
-			unionDistinct = true
-		}
-	}
-	seen := map[string]bool{}
-	for cur := sel; cur != nil; cur = cur.Union {
-		ex, err := e.newExec(cur, outer)
-		if err != nil {
-			return nil, err
-		}
-		if res.Columns == nil {
-			res.Columns = ex.outputColumns()
-		} else if len(res.Columns) != len(ex.outputColumns()) {
-			return nil, fmt.Errorf("engine: UNION branches have different arity (%d vs %d)",
-				len(res.Columns), len(ex.outputColumns()))
-		}
-		if hasAggregates(cur) {
-			row, err := e.runAggregate(ex, cur)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, row)
-			continue
-		}
-		dedupe := cur.Distinct || unionDistinct
-		err = ex.run(func(row sqltypes.Row) (bool, error) {
-			if dedupe {
-				k := row.Key()
-				if seen[k] {
-					return true, nil
-				}
-				seen[k] = true
-			}
-			res.Rows = append(res.Rows, row)
-			return true, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// exists evaluates whether sel yields any row, with early exit.
-func (e *Engine) exists(sel *sqlparser.Select, outer *scope) (bool, error) {
-	for cur := sel; cur != nil; cur = cur.Union {
-		ex, err := e.newExec(cur, outer)
-		if err != nil {
-			return false, err
-		}
-		found, err := ex.runExists()
-		if err != nil {
-			return false, err
-		}
-		if found {
-			return true, nil
-		}
-	}
-	return false, nil
 }

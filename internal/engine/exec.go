@@ -9,14 +9,21 @@ import (
 	"tintin/internal/storage"
 )
 
-// source is one FROM item: a base table (index-probe capable) or a
-// materialized view result.
+// source is one FROM item: a base table (index-probe capable) or a view,
+// read through its own nested plan.
 type source struct {
 	alias  string
 	cols   []string
 	colIdx map[string]int
 	table  *storage.Table // non-nil for base tables
-	rows   []sqltypes.Row // materialized rows for views
+	// view is the nested plan of a view in FROM. out holds its output for
+	// the enclosing plan's current execution and fresh says whether that
+	// output has been produced yet: reset clears it, the first scan of the
+	// source runs the view. Unlike a table source, a view source is mutable
+	// and therefore never shared between plan clones.
+	view  *PreparedQuery
+	out   Result
+	fresh bool
 }
 
 // scope is the variable environment of one SELECT during evaluation,
@@ -125,9 +132,13 @@ type exec struct {
 	// from the bound scope instead).
 	skipProject bool
 
-	// subs caches subquery executions so correlated EXISTS/IN subqueries are
-	// planned once per enclosing query, not once per outer row.
+	// subs holds the exec of every subquery block nested directly in this
+	// one, compiled by planSubqueries when the block itself was: evaluation
+	// only looks plans up, it never builds one.
 	subs map[*sqlparser.Select]*exec
+	// views lists the nested plans of the views this block and its
+	// subqueries read; PreparedQuery.current re-validates them.
+	views []*PreparedQuery
 	// inMemo caches fully-materialized results of uncorrelated IN
 	// subqueries (value-set plus null flag).
 	inMemo map[*sqlparser.InSubquery]*inSet
@@ -198,25 +209,55 @@ type inSet struct {
 	sawNull bool
 }
 
-// subExec returns a cached exec for one subquery SELECT block, rooted at
-// this exec's scope.
+// subExec returns the exec planSubqueries compiled for one subquery block.
 func (ex *exec) subExec(q *sqlparser.Select) (*exec, error) {
 	if sub, ok := ex.subs[q]; ok {
 		return sub, nil
 	}
-	sub, err := ex.eng.newExec(q, ex.scope)
-	if err != nil {
-		return nil, err
-	}
-	if ex.subs == nil {
-		ex.subs = make(map[*sqlparser.Select]*exec)
-	}
-	ex.subs[q] = sub
-	return sub, nil
+	return nil, fmt.Errorf("engine: internal: subquery evaluated before it was planned")
+}
+
+// planSubqueries compiles the exec of every subquery nested directly in e,
+// rooted at this exec's scope (newExec covers each one's interior). The walk
+// stops at each subquery boundary, except that the operand of IN belongs to
+// this block.
+func (ex *exec) planSubqueries(e sqlparser.Expr) error {
+	var werr error
+	sqlparser.WalkExpr(e, func(n sqlparser.Expr) bool {
+		if werr != nil {
+			return false
+		}
+		var q *sqlparser.Select
+		switch x := n.(type) {
+		case *sqlparser.Exists:
+			q = x.Query
+		case *sqlparser.InSubquery:
+			q = x.Query
+			werr = ex.planSubqueries(x.E)
+		case *sqlparser.ScalarSubquery:
+			q = x.Query
+		default:
+			return true
+		}
+		for cur := q; cur != nil && werr == nil; cur = cur.Union {
+			sub, err := ex.eng.newExec(cur, ex.scope)
+			if err != nil {
+				werr = err
+				break
+			}
+			if ex.subs == nil {
+				ex.subs = make(map[*sqlparser.Select]*exec)
+			}
+			ex.subs[cur] = sub
+			ex.views = append(ex.views, sub.views...)
+		}
+		return false
+	})
+	return werr
 }
 
 // existsSub evaluates [branches of] a subquery for EXISTS semantics with
-// early exit, reusing cached plans.
+// early exit.
 func (ex *exec) existsSub(q *sqlparser.Select) (bool, error) {
 	for cur := q; cur != nil; cur = cur.Union {
 		sub, err := ex.subExec(cur)
@@ -239,7 +280,7 @@ func (ex *exec) existsSub(q *sqlparser.Select) (bool, error) {
 // and the sink is the exec's reusable one, so the probe allocates nothing.
 // No defer here — this runs per outer row, and a defer costs real time on
 // the hot path; a panic that unwinds past the plain restore is repaired by
-// reset() at the next execution of the cached plan.
+// reset() at the next execution of the plan.
 func (ex *exec) runExists() (bool, error) {
 	saved := ex.skipProject
 	ex.skipProject = true
@@ -254,10 +295,13 @@ type probe struct {
 	expr   sqlparser.Expr // expression bound before source k
 }
 
+// newExec compiles one SELECT block and, recursively, every subquery in its
+// projections and WHERE clause: the returned tree executes without planning.
 func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 	sc := &scope{parent: outer}
+	ex := &exec{eng: e, sel: sel, scope: sc}
 	for _, tr := range sel.From {
-		src, err := e.resolveSource(tr, outer)
+		src, err := e.resolveSource(tr)
 		if err != nil {
 			return nil, err
 		}
@@ -267,15 +311,13 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 			}
 		}
 		sc.srcs = append(sc.srcs, src)
+		if src.view != nil {
+			ex.views = append(ex.views, src.view)
+		}
 	}
 	sc.tuple = make([]sqltypes.Row, len(sc.srcs))
-	ex := &exec{
-		eng:     e,
-		sel:     sel,
-		scope:   sc,
-		filters: make([][]sqlparser.Expr, len(sc.srcs)),
-		probes:  make([][]probe, len(sc.srcs)),
-	}
+	ex.filters = make([][]sqlparser.Expr, len(sc.srcs))
+	ex.probes = make([][]probe, len(sc.srcs))
 	for _, c := range sqlparser.Conjuncts(sel.Where) {
 		if err := ex.placeConjunct(c); err != nil {
 			return nil, err
@@ -295,10 +337,18 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 		ex.probeVals[k] = make([]sqltypes.Value, len(ps))
 	}
 	ex.initLevels()
+	for _, it := range sel.Columns {
+		if err := ex.planSubqueries(it.Expr); err != nil {
+			return nil, err
+		}
+	}
+	if err := ex.planSubqueries(sel.Where); err != nil {
+		return nil, err
+	}
 	return ex, nil
 }
 
-func (e *Engine) resolveSource(tr sqlparser.TableRef, outer *scope) (*source, error) {
+func (e *Engine) resolveSource(tr sqlparser.TableRef) (*source, error) {
 	name := strings.ToLower(tr.Table)
 	alias := strings.ToLower(tr.EffectiveAlias())
 	if t := e.db.Table(name); t != nil {
@@ -310,13 +360,16 @@ func (e *Engine) resolveSource(tr sqlparser.TableRef, outer *scope) (*source, er
 		return &source{alias: alias, cols: cols, colIdx: ci, table: t}, nil
 	}
 	if v := e.db.View(name); v != nil {
-		res, err := e.query(v, outer)
+		// A view body is a closed query: it compiles on its own, with no
+		// outer scope, so it cannot capture the columns of whichever query
+		// happens to read it.
+		vp, err := e.prepare(name, v)
 		if err != nil {
 			return nil, fmt.Errorf("engine: evaluating view %s: %w", name, err)
 		}
-		cols := make([]string, len(res.Columns))
-		ci := make(map[string]int, len(res.Columns))
-		for i, c := range res.Columns {
+		cols := make([]string, len(vp.cols))
+		ci := make(map[string]int, len(vp.cols))
+		for i, c := range vp.cols {
 			cols[i] = strings.ToLower(c)
 			ci[cols[i]] = i
 		}
@@ -343,7 +396,7 @@ func (e *Engine) resolveSource(tr sqlparser.TableRef, outer *scope) (*source, er
 				ci[bare] = i
 			}
 		}
-		return &source{alias: alias, cols: cols, colIdx: ci, rows: res.Rows}, nil
+		return &source{alias: alias, cols: cols, colIdx: ci, view: vp}, nil
 	}
 	return nil, fmt.Errorf("engine: no table or view named %s", name)
 }
@@ -555,8 +608,8 @@ func (ex *exec) loop(k int) (bool, error) {
 		return lv.cont, nil
 	}
 
-	// Scan path: base-table scan or materialized rows, applying any probe
-	// conjuncts as filters.
+	// Scan path: base-table scan or this execution's view output, applying
+	// any probe conjuncts as filters.
 	if src.table != nil {
 		if k == 0 && ex.hasRange {
 			src.table.ScanRange(ex.scanRange, lv.visitFn)
@@ -564,7 +617,13 @@ func (ex *exec) loop(k int) (bool, error) {
 			src.table.Scan(lv.visitFn)
 		}
 	} else {
-		for _, r := range src.rows {
+		if !src.fresh {
+			if err := src.view.QueryInto(&src.out); err != nil {
+				return false, err
+			}
+			src.fresh = true
+		}
+		for _, r := range src.out.Rows {
 			if !lv.visitFn(r) {
 				break
 			}

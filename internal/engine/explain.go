@@ -15,9 +15,6 @@ import (
 type ExplainPlan struct {
 	View string `json:"view"`
 	SQL  string `json:"sql"`
-	// Cacheable is false for queries reading other views, which re-plan on
-	// every execution.
-	Cacheable bool `json:"cacheable"`
 	// Cached reports whether a valid compiled plan is resident in the
 	// engine's plan cache right now.
 	Cached bool `json:"cached"`
@@ -25,8 +22,7 @@ type ExplainPlan struct {
 	// plan whose output can be split by driving-row ranges.
 	Partitionable bool   `json:"partitionable"`
 	DrivingScan   string `json:"driving_scan,omitempty"`
-	// Branches holds one entry per UNION branch, empty for non-cacheable
-	// plans (there is no stable compiled form to describe).
+	// Branches holds one entry per UNION branch.
 	Branches []ExplainBranch `json:"branches,omitempty"`
 }
 
@@ -75,8 +71,7 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 	}
 	var p *PreparedQuery
 	cached := false
-	if rp, ok := e.plans[name]; ok &&
-		rp.sel == sel && rp.schemaVersion == e.db.SchemaVersion() && rp.noProbes == e.DisableIndexProbes {
+	if rp, ok := e.plans[name]; ok && rp.current() {
 		p, cached = rp, true
 	} else {
 		fresh, err := e.prepare(name, sel)
@@ -86,10 +81,9 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 		p = fresh
 	}
 	out := &ExplainPlan{
-		View:      name,
-		SQL:       sqlparser.FormatSelect(sel),
-		Cacheable: p.Cacheable(),
-		Cached:    cached,
+		View:   name,
+		SQL:    sqlparser.FormatSelect(sel),
+		Cached: cached,
 	}
 	if tbl, ok := p.DrivingScan(); ok {
 		out.Partitionable = true
@@ -111,7 +105,7 @@ func explainExec(ex *exec, distinct, aggregate bool) ExplainBranch {
 		if src.table != nil {
 			s.Table = src.table.Name()
 		} else {
-			s.Table = src.alias
+			s.Table = src.view.name
 		}
 		if len(ex.probes) > k && len(ex.probes[k]) > 0 {
 			s.Access = "probe"

@@ -134,11 +134,13 @@ func TestClonePartition(t *testing.T) {
 }
 
 // TestDrivingScanRejects: plans whose partitioning would be unsound —
-// DISTINCT, aggregates, UNION, view-reading fallbacks, probed level-0 —
+// DISTINCT, aggregates, UNION, view-reading level-0, probed level-0 —
 // must not report a driving scan.
 func TestDrivingScanRejects(t *testing.T) {
 	db, eng := partDB(t)
+	createView(t, db, "ev_v", `SELECT e.e_val FROM ev AS e`)
 	cases := map[string]string{
+		"view":     `SELECT v.e_val FROM ev_v AS v`,
 		"distinct": `SELECT DISTINCT e.e_key FROM ev AS e`,
 		"agg":      `SELECT COUNT(*) FROM ev AS e`,
 		"union":    `SELECT e.e_val FROM ev AS e UNION ALL SELECT b.b_key FROM base AS b`,

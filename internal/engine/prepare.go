@@ -10,29 +10,31 @@ import (
 	"tintin/internal/storage"
 )
 
-// PreparedQuery is a view whose evaluation plan — scope resolution, conjunct
-// placement, probe selection and subquery plans — was built once, so
-// repeated executions (one per safeCommit) touch only data, never the SQL
+// PreparedQuery is a query whose evaluation plan — scope resolution,
+// conjunct placement, probe selection and subquery plans — was built once,
+// so repeated executions (one per safeCommit) touch only data, never the SQL
 // text or the planner.
 //
-// A plan is cacheable when every FROM item in the query tree is a base
-// table: base tables are stable objects, so the plan's table pointers and
-// column offsets survive arbitrary data changes. Queries reading other
-// views fall back to planning per execution (view results are materialized
-// during planning and would go stale).
+// Every query compiles. Base tables are stable objects, so the plan's table
+// pointers and column offsets survive arbitrary data changes; a view in FROM
+// is a nested PreparedQuery whose output is re-read on every execution of
+// the enclosing plan, so it cannot go stale either.
 type PreparedQuery struct {
 	eng  *Engine
 	name string
 	sel  *sqlparser.Select
 
-	// branches holds one planned exec per UNION branch; nil when the query
-	// is not cacheable.
+	// branches holds one planned exec per UNION branch.
 	branches []*exec
 	// dedupe / agg are the per-branch DISTINCT-or-union-distinct and
 	// aggregate-projection flags, precomputed off the hot path.
 	dedupe []bool
 	agg    []bool
 	cols   []string
+	// views lists the nested plans of the views read anywhere in the tree
+	// (FROM items of the branches and of their subqueries): the plan is
+	// stale once any of them is redefined.
+	views []*PreparedQuery
 
 	schemaVersion uint64
 	noProbes      bool
@@ -46,11 +48,9 @@ type PlanCacheStats struct {
 	// Misses counts plan compilations (first use of a view).
 	Misses int `json:"misses"`
 	// Invalidations counts cached plans discarded because the schema
-	// changed, the view was redefined, or the probe setting flipped.
+	// changed, the view (or a view it reads) was redefined, or the probe
+	// setting flipped.
 	Invalidations int `json:"invalidations"`
-	// Fallbacks counts executions of non-cacheable views (queries reading
-	// other views), which re-plan every time despite the cache entry.
-	Fallbacks int `json:"fallbacks"`
 }
 
 // planCounters is the engine-internal, atomically updated form of
@@ -58,7 +58,7 @@ type PlanCacheStats struct {
 // stats readers (GaugeFunc exports, \stats, concurrent Tool.Stats() calls)
 // may load from any goroutine, so plain ints would race.
 type planCounters struct {
-	hits, misses, invalidations, fallbacks atomic.Int64
+	hits, misses, invalidations atomic.Int64
 }
 
 // PlanCacheStats returns the engine's plan-cache counters. The exported
@@ -68,38 +68,46 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 		Hits:          int(e.planStats.hits.Load()),
 		Misses:        int(e.planStats.misses.Load()),
 		Invalidations: int(e.planStats.invalidations.Load()),
-		Fallbacks:     int(e.planStats.fallbacks.Load()),
 	}
 }
-
-// Cacheable reports whether executions reuse the compiled plan (false for
-// queries that read other views).
-func (p *PreparedQuery) Cacheable() bool { return p.branches != nil }
 
 // Name returns the view name the plan was prepared for; trace spans and
 // pprof labels use it to attribute work to views.
 func (p *PreparedQuery) Name() string { return p.name }
 
+// current reports whether the plan still matches what it was compiled
+// against: the view's definition — and, recursively, the definition of every
+// view it reads — the table set, and the probe setting.
+func (p *PreparedQuery) current() bool {
+	e := p.eng
+	if p.sel != e.db.View(p.name) || p.schemaVersion != e.db.SchemaVersion() || p.noProbes != e.DisableIndexProbes {
+		return false
+	}
+	for _, v := range p.views {
+		if !v.current() {
+			return false
+		}
+	}
+	return true
+}
+
 // PrepareView returns the compiled plan for a stored view, building and
 // caching it on first use and transparently re-preparing when the table set
-// changed, the view was redefined, or index probing was toggled.
+// changed, the view or one it reads was redefined, or index probing was
+// toggled.
 func (e *Engine) PrepareView(name string) (*PreparedQuery, error) {
 	name = strings.ToLower(name)
-	sel := e.db.View(name)
-	if sel == nil {
-		return nil, fmt.Errorf("engine: no view %s", name)
-	}
 	if p, ok := e.plans[name]; ok {
-		if p.sel == sel && p.schemaVersion == e.db.SchemaVersion() && p.noProbes == e.DisableIndexProbes {
-			if p.branches != nil {
-				e.planStats.hits.Add(1)
-			} else {
-				e.planStats.fallbacks.Add(1)
-			}
+		if p.current() {
+			e.planStats.hits.Add(1)
 			return p, nil
 		}
 		delete(e.plans, name)
 		e.planStats.invalidations.Add(1)
+	}
+	sel := e.db.View(name)
+	if sel == nil {
+		return nil, fmt.Errorf("engine: no view %s", name)
 	}
 	p, err := e.prepare(name, sel)
 	if err != nil {
@@ -130,6 +138,8 @@ func (e *Engine) ForgetPlan(name string) {
 	}
 }
 
+// prepare compiles sel (a stored view's definition, or an ad-hoc query under
+// the name "") with no outer scope.
 func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, error) {
 	p := &PreparedQuery{
 		eng:           e,
@@ -138,11 +148,8 @@ func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, er
 		schemaVersion: e.db.SchemaVersion(),
 		noProbes:      e.DisableIndexProbes,
 	}
-	for _, t := range sqlparser.TablesReferenced(sel) {
-		if e.db.Table(t) == nil && e.db.View(t) != nil {
-			return p, nil // reads another view: plan per execution
-		}
-	}
+	// A UNION without ALL anywhere in the chain dedupes across all branches;
+	// DISTINCT on a branch dedupes that branch's output.
 	unionDistinct := false
 	for s := sel; s != nil; s = s.Union {
 		if s.Union != nil && !s.UnionAll {
@@ -152,9 +159,6 @@ func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, er
 	for cur := sel; cur != nil; cur = cur.Union {
 		ex, err := e.newExec(cur, nil)
 		if err != nil {
-			return nil, err
-		}
-		if err := ex.planSubqueries(); err != nil {
 			return nil, err
 		}
 		cols := ex.outputColumns()
@@ -167,60 +171,25 @@ func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, er
 		p.branches = append(p.branches, ex)
 		p.dedupe = append(p.dedupe, cur.Distinct || unionDistinct)
 		p.agg = append(p.agg, hasAggregates(cur))
+		p.views = append(p.views, ex.views...)
 	}
 	return p, nil
 }
 
-// planSubqueries eagerly builds the exec for every subquery reachable from
-// this block's projections and WHERE clause, so a cached plan never plans
-// lazily at execution time. The walk stops at each subquery boundary; the
-// recursive call covers its interior.
-func (ex *exec) planSubqueries() error {
-	var werr error
-	visit := func(e sqlparser.Expr) bool {
-		if werr != nil {
-			return false
-		}
-		var q *sqlparser.Select
-		switch x := e.(type) {
-		case *sqlparser.Exists:
-			q = x.Query
-		case *sqlparser.InSubquery:
-			q = x.Query
-		case *sqlparser.ScalarSubquery:
-			q = x.Query
-		default:
-			return true
-		}
-		for cur := q; cur != nil; cur = cur.Union {
-			sub, err := ex.subExec(cur)
-			if err != nil {
-				werr = err
-				return false
-			}
-			if err := sub.planSubqueries(); err != nil {
-				werr = err
-				return false
-			}
-		}
-		return false
-	}
-	for _, it := range ex.sel.Columns {
-		sqlparser.WalkExpr(it.Expr, visit)
-	}
-	sqlparser.WalkExpr(ex.sel.Where, visit)
-	return werr
-}
-
-// reset clears the per-execution memo state of a plan (and of its cached
-// subquery plans) so a fresh run re-reads current table data. It also
-// clears skipProject: a panic recovered above the engine (the scheduler's
-// committer does this and keeps cached plans alive) can unwind past
-// runExists' restore, and a cached exec stuck in existence mode would emit
-// nil rows forever after.
+// reset clears the per-execution memo state of a plan (and of its subquery
+// plans) so a fresh run re-reads current table data: IN-subquery value sets
+// and the output of views in FROM. It also clears skipProject: a panic
+// recovered above the engine (the scheduler's committer does this and keeps
+// cached plans alive) can unwind past runExists' restore, and a cached exec
+// stuck in existence mode would emit nil rows forever after.
 func (ex *exec) reset() {
 	ex.inMemo = nil
 	ex.skipProject = false
+	for _, src := range ex.scope.srcs {
+		if src.view != nil { // table sources are shared between clones: never written
+			src.fresh = false
+		}
+	}
 	//tintin:allow nodeterminism each sub-plan reset is independent; order never reaches results
 	for _, sub := range ex.subs {
 		sub.reset()
@@ -228,8 +197,8 @@ func (ex *exec) reset() {
 }
 
 // EnsureIndexes builds, at preparation time, every hash index the plan's
-// probes will use — base and event tables alike — so executions always
-// probe and never pay on-demand index construction.
+// probes will use — base and event tables alike, nested view plans included —
+// so executions always probe and never pay on-demand index construction.
 func (p *PreparedQuery) EnsureIndexes() error {
 	for _, ex := range p.branches {
 		if err := ex.ensureProbeIndexes(); err != nil {
@@ -242,6 +211,11 @@ func (p *PreparedQuery) EnsureIndexes() error {
 func (ex *exec) ensureProbeIndexes() error {
 	for k, ps := range ex.probes {
 		src := ex.scope.srcs[k]
+		if src.view != nil {
+			if err := src.view.EnsureIndexes(); err != nil {
+				return err
+			}
+		}
 		if len(ps) == 0 || src.table == nil || ex.probeIdx[k] != nil {
 			continue
 		}
@@ -287,18 +261,6 @@ func (p *PreparedQuery) QueryInto(res *Result) error {
 // no cap.
 func (p *PreparedQuery) QueryLimitInto(limit int, res *Result) error {
 	res.Rows = res.Rows[:0]
-	if p.branches == nil {
-		fresh, err := p.eng.query(p.sel, nil)
-		if err != nil {
-			return err
-		}
-		res.Columns = fresh.Columns
-		res.Rows = append(res.Rows, fresh.Rows...)
-		if limit > 0 && len(res.Rows) > limit {
-			res.Rows = res.Rows[:limit]
-		}
-		return nil
-	}
 	res.Columns = p.cols
 	var seen map[string]bool
 	for i, ex := range p.branches {
@@ -337,8 +299,8 @@ func (p *PreparedQuery) QueryLimitInto(limit int, res *Result) error {
 }
 
 // DrivingScan returns the table driving the plan's outer join loop when the
-// plan is partitionable: cacheable, a single SELECT branch with neither
-// DISTINCT nor aggregate projection, whose level-0 FROM source is a base
+// plan is partitionable: a single SELECT branch with neither DISTINCT nor
+// aggregate projection, whose level-0 FROM source is a base
 // table read by full scan (no level-0 index probes). For such a plan the
 // outer loop visits driving-table rows in slot order and every output row
 // is owned by exactly one driving row, so restricting the scan to a row
@@ -382,11 +344,8 @@ func (p *PreparedQuery) QueryPartitionInto(r storage.RowRange, limit int, res *R
 }
 
 // NonEmpty reports whether the prepared query yields any row, stopping at
-// the first (mirroring Engine.exists).
+// the first.
 func (p *PreparedQuery) NonEmpty() (bool, error) {
-	if p.branches == nil {
-		return p.eng.exists(p.sel, nil)
-	}
 	for _, ex := range p.branches {
 		ex.reset()
 		found, err := ex.runExists()

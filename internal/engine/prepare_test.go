@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tintin/internal/sqlparser"
@@ -110,9 +111,6 @@ func TestPlanCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p1.Cacheable() {
-		t.Fatal("base-table view should be cacheable")
-	}
 	st := eng.PlanCacheStats()
 	if st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first prepare: %+v", st)
@@ -196,47 +194,88 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestPreparedViewOnView verifies the fallback: a view reading another view
-// is not plan-cached but still evaluates correctly against fresh data.
+// TestPreparedViewOnView: a view reading another view compiles like any
+// other — executions are cache hits, each one re-reads the underlying table
+// through the nested plan, a clone is an independent copy, and redefining the
+// inner view invalidates the outer plan.
 func TestPreparedViewOnView(t *testing.T) {
 	db, eng := prepDB(t)
 	createView(t, db, "base_v", `SELECT o.o_orderkey FROM orders AS o WHERE o.o_custkey > 15`)
 	createView(t, db, "outer_v", `SELECT v.o_orderkey FROM base_v AS v WHERE v.o_orderkey > 2`)
 
-	p, err := eng.PrepareView("outer_v")
+	query := func(label string, want ...string) {
+		t.Helper()
+		res, err := eng.QueryView("outer_v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedRows(res.Rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rows = %v, want %v", label, got, want)
+		}
+	}
+	query("initial", "(3)")
+	proto, err := eng.PrepareView("outer_v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cacheable() {
-		t.Fatal("view-on-view should not be plan-cached")
+	clone := proto.Clone()
+	if clone == proto {
+		t.Fatal("Clone returned the shared plan")
 	}
-	res, err := eng.QueryView("outer_v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v, want one (order 3)", res.Rows)
-	}
-	// The fallback must observe data changes (no stale materialization).
+	// No stale materialization: the nested plan runs on every execution.
 	iv := func(n int64) sqltypes.Value { return sqltypes.NewInt(n) }
 	if err := db.Insert("orders", sqltypes.Row{iv(9), iv(90)}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = eng.QueryView("outer_v")
+	query("after insert", "(3)", "(9)")
+	if st := eng.PlanCacheStats(); st.Misses != 1 || st.Hits != 2 || st.Invalidations != 0 {
+		t.Fatalf("stats = %+v, want one compile and two hits", st)
+	}
+	// The clone was taken before the insert and has never run; it sees the
+	// same data through its own copy of the nested plan.
+	res, err := clone.Query()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows after insert = %v, want two", res.Rows)
+	if got := sortedRows(res.Rows); !reflect.DeepEqual(got, []string{"(3)", "(9)"}) {
+		t.Fatalf("clone rows = %v", got)
 	}
-	// Executions of the fallback plan are Fallbacks, not Hits: they re-plan
-	// every time and must not look like cached work in the stats.
-	st := eng.PlanCacheStats()
-	if st.Fallbacks != 2 {
-		t.Fatalf("fallbacks = %d, want 2", st.Fallbacks)
+	if clone.branches[0].scope.srcs[0] == proto.branches[0].scope.srcs[0] {
+		t.Fatal("clone shares the prototype's view source (per-execution state)")
 	}
-	if st.Hits != 0 {
-		t.Fatalf("hits = %d, want 0 (only non-cacheable views were executed)", st.Hits)
+
+	// Redefining the inner view invalidates the outer plan.
+	if err := db.DropView("base_v"); err != nil {
+		t.Fatal(err)
+	}
+	createView(t, db, "base_v", `SELECT o.o_orderkey FROM orders AS o WHERE o.o_custkey > 25`)
+	query("after redefinition", "(3)", "(9)")
+	p2, err := eng.PrepareView("outer_v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 == proto {
+		t.Fatal("outer plan survived the redefinition of the view it reads")
+	}
+	if st := eng.PlanCacheStats(); st.Invalidations != 1 {
+		t.Fatalf("invalidations = %d, want 1", st.Invalidations)
+	}
+}
+
+// TestViewBodyIsClosed: a view is compiled with no outer scope, so a body
+// that references a column of the query reading it is an error wherever the
+// view is used — not a correlation that happens to resolve.
+func TestViewBodyIsClosed(t *testing.T) {
+	db, eng := prepDB(t)
+	createView(t, db, "leaky", `SELECT l.l_orderkey FROM lineitem l WHERE l.l_orderkey = o.o_orderkey`)
+	for _, q := range []string{
+		`SELECT * FROM leaky`,
+		`SELECT o.o_orderkey FROM orders o WHERE EXISTS (SELECT * FROM leaky)`,
+	} {
+		_, err := eng.QuerySQL(q)
+		if err == nil || !strings.Contains(err.Error(), "unknown table or alias o") {
+			t.Errorf("%s: err = %v, want unknown table or alias o", q, err)
+		}
 	}
 }
 

@@ -106,9 +106,20 @@ func (e *Engine) ExecStatement(st sqlparser.Statement) (*ExecResult, error) {
 	return nil, fmt.Errorf("engine: unsupported statement %T", st)
 }
 
-// EvalConst evaluates an expression with no table references (literal rows).
-func (e *Engine) EvalConst(expr sqlparser.Expr) (sqltypes.Value, error) {
+// closedExec returns an exec over no sources with expr's subqueries planned:
+// the evaluator of an expression with no free column references.
+func (e *Engine) closedExec(expr sqlparser.Expr) (*exec, error) {
 	ex := &exec{eng: e, scope: &scope{}}
+	return ex, ex.planSubqueries(expr)
+}
+
+// EvalConst evaluates an expression with no free column references (literal
+// rows).
+func (e *Engine) EvalConst(expr sqlparser.Expr) (sqltypes.Value, error) {
+	ex, err := e.closedExec(expr)
+	if err != nil {
+		return sqltypes.Null, err
+	}
 	return ex.evalValue(expr)
 }
 
@@ -116,7 +127,10 @@ func (e *Engine) EvalConst(expr sqlparser.Expr) (sqltypes.Value, error) {
 // references, subqueries allowed — under SQL three-valued logic. known is
 // false when the condition evaluates to UNKNOWN (holds is then false).
 func (e *Engine) EvalPredicate(expr sqlparser.Expr) (holds, known bool, err error) {
-	ex := &exec{eng: e, scope: &scope{}}
+	ex, err := e.closedExec(expr)
+	if err != nil {
+		return false, false, err
+	}
 	t, err := ex.evalBool(expr)
 	if err != nil {
 		return false, false, err
@@ -178,12 +192,15 @@ func (e *Engine) execDelete(del *sqlparser.Delete) (int, error) {
 	if alias == "" {
 		alias = del.Table
 	}
-	src, err := e.resolveSource(sqlparser.TableRef{Table: del.Table, Alias: alias}, nil)
+	src, err := e.resolveSource(sqlparser.TableRef{Table: del.Table, Alias: alias})
 	if err != nil {
 		return 0, err
 	}
 	sc := &scope{srcs: []*source{src}, tuple: make([]sqltypes.Row, 1)}
 	ex := &exec{eng: e, scope: sc}
+	if err := ex.planSubqueries(del.Where); err != nil {
+		return 0, err
+	}
 	var evalErr error
 	n, err := e.db.DeleteWhere(del.Table, func(r sqltypes.Row) bool {
 		if evalErr != nil {

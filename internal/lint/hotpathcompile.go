@@ -10,8 +10,8 @@ import (
 // HotPathCompileAnalyzer enforces the plan-compilation-free commit
 // invariant: no plan compilation — engine prepare/exec-tree construction,
 // regexp compilation, SQL parsing — may be reachable from Tool.safeCommit
-// or Tool.checkParallel. Install time pays every compilation cost exactly
-// once (plan cache, index selection); commit time only executes.
+// or Tool.check. Install time pays every compilation cost exactly once
+// (plan cache, index selection); commit time only executes.
 //
 // TestSafeCommitUsesPlanCache proves this dynamically for the code paths
 // it exercises; this analyzer proves the call graph has no others.
@@ -19,10 +19,11 @@ var HotPathCompileAnalyzer = &analysis.Analyzer{
 	Name: "hotpathcompile",
 	Doc: "no plan compilation reachable from the commit path\n\n" +
 		"Commit-time checking must execute cached plans only: compilation\n" +
-		"(engine.prepare/newExec/query, regexp.Compile, sqlparser.Parse*)\n" +
-		"belongs to install time. Known-safe sites (plan-cache hits, the\n" +
-		"serial lane for non-cacheable plans) carry //tintin:allow\n" +
-		"hotpathcompile directives explaining why.",
+		"(engine.prepare/newExec, regexp.Compile, sqlparser.Parse*) belongs\n" +
+		"to install time. Every view compiles and executing a compiled plan\n" +
+		"never plans, so the one known-safe site — the plan-cache lookup,\n" +
+		"a hit for every installed view — carries a //tintin:allow\n" +
+		"hotpathcompile directive explaining why.",
 	Requires:  []*analysis.Analyzer{AllowAnalyzer},
 	FactTypes: []analysis.Fact{(*CompilesFact)(nil)},
 	Run: func(pass *analysis.Pass) (interface{}, error) {
@@ -66,11 +67,10 @@ func isCompileIntrinsic(fn *types.Func) (string, bool) {
 		}
 	case pathHasSuffix(pkg.Path(), "internal/engine"):
 		// The engine's own compilation entry points: prepare builds a
-		// cached plan, newExec builds one branch's exec tree, query is
-		// the uncached evaluate-from-AST path that re-plans every call.
+		// plan, newExec builds one block's exec tree (subqueries included).
 		if receiverNamed(fn) == "Engine" {
 			switch fn.Name() {
-			case "prepare", "newExec", "query":
+			case "prepare", "newExec":
 				return "builds an exec plan", true
 			}
 		}

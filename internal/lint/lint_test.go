@@ -1,9 +1,12 @@
 package lint_test
 
 import (
+	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
@@ -67,6 +70,51 @@ func TestRepoClean(t *testing.T) {
 	vet.Dir = root
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Errorf("tintinvet is not clean over ./...: %v\n%s", err, out)
+	}
+}
+
+// waiverBudget is the number of //tintin:allow directives the tree may
+// carry. Every waiver is an argument that an invariant holds anyway; the
+// count only ratchets down — lower it when a waiver is removed, and fix the
+// code rather than raise it.
+const waiverBudget = 6
+
+// TestWaiverBudget counts the suppression directives in shipped source
+// (tests and analyzer fixtures seed violations on purpose) and fails when
+// there are more than the budget.
+func TestWaiverBudget(t *testing.T) {
+	root := moduleRoot(t)
+	var sites []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); n == "vendor" || n == "testdata" || (n != "." && strings.HasPrefix(n, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//tintin:allow ") {
+				rel, _ := filepath.Rel(root, path)
+				sites = append(sites, fmt.Sprintf("%s:%d", rel, i+1))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) > waiverBudget {
+		t.Fatalf("%d //tintin:allow directives, budget is %d:\n%s", len(sites), waiverBudget, strings.Join(sites, "\n"))
 	}
 }
 

@@ -181,14 +181,14 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 }
 
 // isCommitRoot reports whether fn is a commit-path entry point: the
-// safeCommit procedure (exported wrapper included) or the parallel check
-// fan-out, on core's Tool.
+// safeCommit procedure (exported wrapper included) or the check it runs
+// (also reachable on its own through Tool.Check), on core's Tool.
 func isCommitRoot(fn *types.Func) bool {
 	if fn.Pkg() == nil || !pathHasSuffix(fn.Pkg().Path(), "internal/core") {
 		return false
 	}
 	switch fn.Name() {
-	case "safeCommit", "SafeCommit", "checkParallel":
+	case "safeCommit", "SafeCommit", "check":
 	default:
 		return false
 	}

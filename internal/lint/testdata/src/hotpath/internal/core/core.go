@@ -1,5 +1,5 @@
 // Package core seeds hotpathcompile violations: its Tool.safeCommit and
-// Tool.checkParallel are the commit-path roots, and the fixture exercises
+// Tool.check are the commit-path roots, and the fixture exercises
 // direct intrinsics (regexp), imported facts (engine, sqlparser), local
 // transitive reachability, non-root functions, and suppression.
 package core
@@ -18,7 +18,7 @@ type Tool struct {
 
 func (t *Tool) safeCommit() error {
 	p := t.eng.PrepareView("v") // want `safeCommit \(commit path via safeCommit\) calls \(\*Engine\)\.PrepareView .*compiles a plan at commit time`
-	_ = p.ExecCached()          // cached execution: clean
+	_ = p.QueryLimitInto(1)     // executing a compiled plan: clean
 	t.helper()
 	return nil
 }
@@ -30,10 +30,11 @@ func (t *Tool) helper() {
 	_ = re
 }
 
-func (t *Tool) checkParallel() {
-	_, _ = sqlparser.Parse("SELECT 1") // want `checkParallel \(commit path via checkParallel\) calls sqlparser\.Parse .*compiles a plan at commit time`
-	//tintin:allow hotpathcompile serial lane for non-cacheable plans re-plans by design
-	_ = t.plan.QueryLimitInto(1)
+func (t *Tool) check() {
+	_, _ = sqlparser.Parse("SELECT 1") // want `check \(commit path via check\) calls sqlparser\.Parse .*compiles a plan at commit time`
+	_ = t.eng.Query("v")               // want `check \(commit path via check\) calls \(\*Engine\)\.Query .*compiles a plan at commit time`
+	//tintin:allow hotpathcompile cache hit for installed views
+	t.plan = t.eng.PrepareView("v")
 }
 
 // Install is not a commit-path root: compilation here is the point.

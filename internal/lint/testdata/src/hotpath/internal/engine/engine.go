@@ -1,7 +1,7 @@
 // Package engine mirrors the shape of tintin/internal/engine for the
-// hotpathcompile fixture: prepare/newExec/query are the compilation
-// intrinsics, and the exported entry points either stay on the cached
-// side (ExecCached) or can fall into compilation (PrepareView, Query).
+// hotpathcompile fixture: prepare/newExec are the compilation intrinsics,
+// and the exported entry points either stay on the compiled side
+// (QueryLimitInto) or can fall into compilation (PrepareView, Query).
 package engine
 
 type Engine struct {
@@ -21,12 +21,6 @@ func (e *Engine) newExec(name string) *Plan {
 	return &Plan{eng: e, name: name}
 }
 
-func (e *Engine) query(name string) int {
-	p := e.newExec(name)
-	_ = p
-	return 0
-}
-
 // PrepareView is the cache-or-compile lookup: a hit is free, a miss
 // compiles. Reaching it from the commit path is flaggable.
 func (e *Engine) PrepareView(name string) *Plan {
@@ -38,17 +32,9 @@ func (e *Engine) PrepareView(name string) *Plan {
 	return p
 }
 
-// Query is the uncached evaluate-from-AST path.
-func (e *Engine) Query(name string) int { return e.query(name) }
+// Query is the ad-hoc path: compile, then run.
+func (e *Engine) Query(name string) int { return e.newExec(name).QueryLimitInto(0) }
 
-// QueryLimitInto executes a prepared plan but re-plans when the plan is
-// not cacheable — so it, too, carries the compiles fact.
-func (p *Plan) QueryLimitInto(limit int) int {
-	if p.name == "" {
-		return p.eng.query(p.name)
-	}
-	return 0
-}
-
-// ExecCached only ever touches the cached artifact: no fact.
-func (p *Plan) ExecCached() int { return len(p.name) }
+// QueryLimitInto executes a compiled plan and only ever touches the
+// compiled artifact: no fact.
+func (p *Plan) QueryLimitInto(limit int) int { return len(p.name) - limit }

@@ -42,7 +42,7 @@ func (t *Tool) safeCommit() {
 	}()
 }
 
-func (t *Tool) checkParallel() {
+func (t *Tool) check() {
 	//tintin:allow obsdirect one-shot gauge registration on a cold path, measured at +0 allocs
-	t.reg.Counter("parallel").Add(1)
+	t.reg.Counter("checks").Add(1)
 }

@@ -14,8 +14,8 @@ import (
 //
 // Logging is construction/recovery/lifecycle-time only: the commit hot path
 // must never log (a slog call formats and allocates). The obsdirect
-// analyzer rejects any log/slog call reachable from safeCommit/
-// checkParallel, the same way it rejects registry lookups there.
+// analyzer rejects any log/slog call reachable from safeCommit/check, the
+// same way it rejects registry lookups there.
 type Logger struct{ s *slog.Logger }
 
 // NewLogger wraps an slog handler. A nil handler yields a nil (disabled)

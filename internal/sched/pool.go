@@ -38,10 +38,6 @@ type Task struct {
 	// Plan is the cached prototype plan (owned by the engine's plan cache);
 	// workers execute private clones of it.
 	Plan *engine.PreparedQuery
-	// Serial routes the task to the coordinator's serial lane. Callers set
-	// it for plans that are not cacheable: those re-plan per execution and
-	// may build indexes on demand, which mutates shared table state.
-	Serial bool
 	// Parts asks for this task's driving scan to be split into that many
 	// row-range partitions, each scheduled as its own subtask; the partial
 	// outputs are merged back in partition order, so the caller still
@@ -73,28 +69,29 @@ type Outcome struct {
 // subtask is the pool's internal unit of scheduled work: one whole task or
 // one partition of a split task.
 type subtask struct {
-	task  int // index into the Run tasks
+	task  int // index into the RunSpan tasks
 	part  storage.RowRange
 	split bool
 }
 
 // Pool runs check tasks across a fixed set of workers. Each worker owns
 // persistent executor state — plan clones and a reusable result buffer —
-// that survives across Run calls, so steady-state commits allocate no
-// per-worker state at all. A Pool must not be shared by concurrent Run
+// that survives across RunSpan calls, so steady-state commits allocate no
+// per-worker state at all. A Pool must not be shared by concurrent RunSpan
 // calls; the committer (or the tool) serializes commits in front of it.
 type Pool struct {
-	workers int
-	// states[0:workers] belong to the worker goroutines; the extra last
-	// slot is the coordinator's serial lane for non-cloneable plans.
-	states []*workerState
-	// subs / partials are the expansion and partial-outcome scratch,
-	// reused across Run calls so steady-state commits don't allocate them.
+	states []*workerState // one per worker
+	// tasks, subs, partials and spans (one span per subtask, empty when the
+	// run is untraced) are the current run's schedule, read by every worker;
+	// next hands subtask indexes out. They and outs are scratch reused across
+	// RunSpan calls so steady-state commits don't allocate them.
+	tasks    []Task
 	subs     []subtask
 	partials []Outcome
-	// spans is the per-subtask span scratch for traced runs, same reuse
-	// discipline as partials. Only populated when RunSpan gets a parent.
-	spans []*obs.Span
+	spans    []*obs.Span
+	outs     []Outcome
+	next     atomic.Int64
+	wg       sync.WaitGroup
 
 	metrics    PoolMetrics
 	profLabels bool
@@ -104,15 +101,15 @@ type Pool struct {
 // optional (obs primitives are nil-receiver-safe), so the zero value is a
 // fully unwired pool that pays only predictable branches.
 type PoolMetrics struct {
-	// Tasks counts tasks scheduled across all Run calls.
+	// Tasks counts tasks scheduled across all RunSpan calls.
 	Tasks *obs.Counter
 	// TasksSplit counts tasks whose driving scan was actually partitioned.
 	TasksSplit *obs.Counter
-	// Subtasks counts scheduled work units: serial tasks, unsplit parallel
-	// tasks, and individual partitions of split tasks.
+	// Subtasks counts scheduled work units: whole tasks and individual
+	// partitions of split tasks.
 	Subtasks *obs.Counter
-	// QueueDepth tracks parallel subtasks published but not yet claimed by a
-	// worker; it spikes to the fan-out width at the start of each Run and
+	// QueueDepth tracks subtasks published but not yet claimed by a
+	// worker; it spikes to the fan-out width at the start of each RunSpan and
 	// drains to zero as workers pull.
 	QueueDepth *obs.Gauge
 	// BusyNS accumulates worker execution time (the sum over subtasks, not
@@ -120,8 +117,8 @@ type PoolMetrics struct {
 	BusyNS *obs.Counter
 }
 
-// SetMetrics wires the pool's scheduler metrics. Call before Run; the zero
-// value unwires.
+// SetMetrics wires the pool's scheduler metrics. Call before RunSpan; the
+// zero value unwires.
 func (p *Pool) SetMetrics(m PoolMetrics) { p.metrics = m }
 
 // SetProfileLabels toggles pprof labels on subtask execution, so CPU
@@ -144,7 +141,7 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{workers: workers, states: make([]*workerState, workers+1)}
+	p := &Pool{states: make([]*workerState, workers)}
 	for i := range p.states {
 		p.states[i] = &workerState{clones: make(map[*engine.PreparedQuery]*engine.PreparedQuery)}
 	}
@@ -152,31 +149,25 @@ func NewPool(workers int) *Pool {
 }
 
 // Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
+func (p *Pool) Workers() int { return len(p.states) }
 
-// runSub executes one subtask and returns its partial outcome. serial
-// routes around the clone cache (the coordinator runs the shared plan
-// directly, for plans that cannot be cloned).
-func (st *workerState) runSub(t Task, sub subtask, serial bool) (out Outcome) {
+// runSub executes one subtask on this worker's private clone of the task's
+// plan and returns its partial outcome.
+func (st *workerState) runSub(t Task, sub subtask) (out Outcome) {
 	// A panic on a pool goroutine would kill the process (nothing above a
-	// worker recovers); surface it as this task's error instead, matching
-	// the serial path where the committer's leader recovers.
+	// worker recovers); surface it as this task's error instead.
 	defer func() {
 		if r := recover(); r != nil {
 			out = Outcome{Err: fmt.Errorf("sched: check task panicked: %v", r), Duration: out.Duration}
 		}
 	}()
-	plan := t.Plan
-	if !serial {
-		clone, ok := st.clones[plan]
-		if !ok {
-			if len(st.clones) >= clonesCap {
-				st.clones = make(map[*engine.PreparedQuery]*engine.PreparedQuery)
-			}
-			clone = plan.Clone()
-			st.clones[plan] = clone
+	plan, ok := st.clones[t.Plan]
+	if !ok {
+		if len(st.clones) >= clonesCap {
+			st.clones = make(map[*engine.PreparedQuery]*engine.PreparedQuery)
 		}
-		plan = clone
+		plan = t.Plan.Clone()
+		st.clones[t.Plan] = plan
 	}
 	start := time.Now()
 	var err error
@@ -199,36 +190,26 @@ func (st *workerState) runSub(t Task, sub subtask, serial bool) (out Outcome) {
 	return out
 }
 
-// expand turns the task list into the subtask schedule: serial-lane indexes
-// first (returned separately), then the parallel subtasks — split tasks
+// expand turns the task list into the subtask schedule, split tasks
 // contributing one subtask per driving-scan partition. Expansion runs on
 // the coordinator before any worker starts, so the read-only Partitions
 // call sees the same quiescent table state the workers will.
-func (p *Pool) expand(tasks []Task) (par []subtask, ser []int) {
-	par = p.subs[:0]
+func (p *Pool) expand(tasks []Task) {
+	subs := p.subs[:0]
 	for i, t := range tasks {
-		// Non-cacheable plans are forced onto the serial lane regardless of
-		// what the caller set: Clone returns the shared receiver for them,
-		// so two workers would race on the same plan (and on the engine's
-		// plan cache through its per-execution re-planning).
-		if t.Serial || !t.Plan.Cacheable() {
-			ser = append(ser, i)
-			continue
-		}
 		if t.Parts > 1 {
 			if tab, ok := t.Plan.DrivingScan(); ok {
 				if ranges := tab.Partitions(t.Parts); len(ranges) > 1 {
 					for _, r := range ranges {
-						par = append(par, subtask{task: i, part: r, split: true})
+						subs = append(subs, subtask{task: i, part: r, split: true})
 					}
 					continue
 				}
 			}
 		}
-		par = append(par, subtask{task: i})
+		subs = append(subs, subtask{task: i})
 	}
-	p.subs = par
-	return par, ser
+	p.tasks, p.subs = tasks, subs
 }
 
 // merge folds the partial outcomes (aligned with subs) back into one
@@ -268,67 +249,50 @@ func merge(tasks []Task, subs []subtask, partials []Outcome, outs []Outcome) {
 	}
 }
 
-// Run executes every task and returns their outcomes in task order. Tasks
-// marked Serial run first, on the coordinator goroutine, BEFORE the
-// workers start: a serial task re-plans per execution and may build an
-// index on demand — a table mutation that must not overlap the workers'
-// reads. The parallel subtasks (whole tasks and partitions of split tasks)
-// are then pulled off a shared counter by the workers. The caller must
-// guarantee the database is quiescent for the duration.
-func (p *Pool) Run(tasks []Task) []Outcome { return p.RunSpan(tasks, nil) }
+// cleared returns s resized to n zeroed outcomes (stale results from the
+// previous run), reallocating only to grow.
+func cleared(s []Outcome, n int) []Outcome {
+	if cap(s) < n {
+		return make([]Outcome, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = Outcome{}
+	}
+	return s
+}
 
-// RunSpan is Run with trace instrumentation: when parent is non-nil, the
-// pool records one child span per scheduled subtask (view, lane, partition
-// bounds, worker id, row count) plus a merge span. Subtask spans are
-// pre-created here on the coordinator, in deterministic subtask order,
-// before any worker starts; each worker then fills only its own spans, so
-// the span tree needs no locking and its shape does not depend on
-// scheduling. A nil parent (the Run path) skips all span work.
+// RunSpan executes every task and returns their outcomes in task order; the
+// returned slice is pool scratch, valid until the next RunSpan. The subtasks
+// (whole tasks and partitions of split tasks) are pulled off a shared
+// counter by the workers — or, when there is a single worker or a single
+// subtask, run right here on the calling goroutine. The caller must
+// guarantee the database is quiescent for the duration.
+//
+// When parent is non-nil, the pool records one child span per scheduled
+// subtask (view, lane=whole|split, partition bounds, worker id, row count)
+// plus a merge span. Subtask spans are pre-created here on the coordinator,
+// in deterministic subtask order, before any worker starts; each worker then
+// fills only its own spans, so the span tree needs no locking and its shape
+// does not depend on scheduling. A nil parent skips all span work.
 func (p *Pool) RunSpan(tasks []Task, parent *obs.Span) []Outcome {
-	outs := make([]Outcome, len(tasks))
-	par, ser := p.expand(tasks)
+	p.expand(tasks)
+	p.outs = cleared(p.outs, len(tasks))
+	p.partials = cleared(p.partials, len(p.subs))
 
 	p.metrics.Tasks.Add(int64(len(tasks)))
-	p.metrics.Subtasks.Add(int64(len(par) + len(ser)))
+	p.metrics.Subtasks.Add(int64(len(p.subs)))
 	if p.metrics.TasksSplit != nil {
-		for si, sub := range par {
-			if sub.split && (si == 0 || par[si-1].task != sub.task) {
+		for si, sub := range p.subs {
+			if sub.split && (si == 0 || p.subs[si-1].task != sub.task) {
 				p.metrics.TasksSplit.Inc()
 			}
 		}
 	}
 
-	coord := p.states[p.workers]
-	for _, ti := range ser {
-		sp := parent.Child("task")
-		sp.SetAttr("view", tasks[ti].Plan.Name())
-		sp.SetAttr("lane", "serial")
-		outs[ti] = coord.runSub(tasks[ti], subtask{task: ti}, true)
-		p.metrics.BusyNS.Add(int64(outs[ti].Duration))
-		sp.SetAttrInt("rows", int64(len(outs[ti].Rows)))
-		sp.End()
-	}
-
-	nw := p.workers
-	if nw > len(par) {
-		nw = len(par)
-	}
-	if cap(p.partials) < len(par) {
-		p.partials = make([]Outcome, len(par))
-	}
-	partials := p.partials[:len(par)]
-	for i := range partials {
-		partials[i] = Outcome{} // stale results from the previous Run
-	}
-	p.partials = partials
-
-	var spans []*obs.Span
+	p.spans = p.spans[:0]
 	if parent != nil {
-		if cap(p.spans) < len(par) {
-			p.spans = make([]*obs.Span, len(par))
-		}
-		spans = p.spans[:len(par)]
-		for si, sub := range par {
+		for _, sub := range p.subs {
 			sp := parent.Child("task")
 			sp.SetAttr("view", tasks[sub.task].Plan.Name())
 			if sub.split {
@@ -336,63 +300,67 @@ func (p *Pool) RunSpan(tasks []Task, parent *obs.Span) []Outcome {
 				sp.SetAttrInt("part_start", int64(sub.part.Start))
 				sp.SetAttrInt("part_end", int64(sub.part.End))
 			} else {
-				sp.SetAttr("lane", "parallel")
+				sp.SetAttr("lane", "whole")
 			}
-			spans[si] = sp
+			p.spans = append(p.spans, sp)
 		}
-		p.spans = spans
 	}
 
-	p.metrics.QueueDepth.Set(int64(len(par)))
-	runOne := func(st *workerState, w, i int) {
-		sub := par[i]
-		p.metrics.QueueDepth.Add(-1)
-		var sp *obs.Span
-		if spans != nil {
-			sp = spans[i]
-			sp.Begin()
-		}
-		if p.profLabels {
-			lbls := pprof.Labels("view", tasks[sub.task].Plan.Name(),
-				"partition", strconv.Itoa(sub.part.Start))
-			pprof.Do(context.Background(), lbls, func(context.Context) {
-				partials[i] = st.runSub(tasks[sub.task], sub, false)
-			})
-		} else {
-			partials[i] = st.runSub(tasks[sub.task], sub, false)
-		}
-		p.metrics.BusyNS.Add(int64(partials[i].Duration))
-		sp.SetAttrInt("worker", int64(w))
-		sp.SetAttrInt("rows", int64(len(partials[i].Rows)))
-		sp.End()
-	}
-
-	if nw <= 1 {
+	p.metrics.QueueDepth.Set(int64(len(p.subs)))
+	if nw := min(len(p.states), len(p.subs)); nw <= 1 {
 		// Nothing to fan out (or a single worker): run everything here and
 		// skip the goroutine machinery.
-		for si := range par {
-			runOne(p.states[0], 0, si)
+		for i := range p.subs {
+			p.runOne(p.states[0], 0, i)
 		}
 	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
+		p.next.Store(0)
+		p.wg.Add(nw)
 		for w := 0; w < nw; w++ {
-			wg.Add(1)
-			go func(st *workerState, w int) {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1) - 1)
-					if i >= len(par) {
-						return
-					}
-					runOne(st, w, i)
-				}
-			}(p.states[w], w)
+			go p.work(w)
 		}
-		wg.Wait()
+		p.wg.Wait()
 	}
 	ms := parent.Child("merge")
-	merge(tasks, par, partials, outs)
+	merge(tasks, p.subs, p.partials, p.outs)
 	ms.End()
-	return outs
+	return p.outs
+}
+
+// work is one worker goroutine of a fan-out: it claims subtask indexes off
+// the shared counter until the schedule is exhausted.
+func (p *Pool) work(w int) {
+	defer p.wg.Done()
+	for {
+		i := int(p.next.Add(1) - 1)
+		if i >= len(p.subs) {
+			return
+		}
+		p.runOne(p.states[w], w, i)
+	}
+}
+
+// runOne executes subtask i of the current schedule on worker w's state,
+// writing only partials[i] and spans[i].
+func (p *Pool) runOne(st *workerState, w, i int) {
+	sub := p.subs[i]
+	t := p.tasks[sub.task]
+	p.metrics.QueueDepth.Add(-1)
+	var sp *obs.Span
+	if len(p.spans) > 0 {
+		sp = p.spans[i]
+		sp.Begin()
+	}
+	if p.profLabels {
+		lbls := pprof.Labels("view", t.Plan.Name(), "partition", strconv.Itoa(sub.part.Start))
+		pprof.Do(context.Background(), lbls, func(context.Context) {
+			p.partials[i] = st.runSub(t, sub)
+		})
+	} else {
+		p.partials[i] = st.runSub(t, sub)
+	}
+	p.metrics.BusyNS.Add(int64(p.partials[i].Duration))
+	sp.SetAttrInt("worker", int64(w))
+	sp.SetAttrInt("rows", int64(len(p.partials[i].Rows)))
+	sp.End()
 }
