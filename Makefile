@@ -38,7 +38,8 @@ test-race:
 
 ## fuzz: budgeted smoke run of the fuzz targets — the differential oracle
 ## (incremental vs baseline verdicts across all commit-check modes), the
-## group-commit attribution stream, and the parser round-trip property.
+## group-commit attribution stream, the parser round-trip property, and the
+## injectivity of the hash-key encoding (equal keys ⇔ identical rows).
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/difftest -fuzz 'FuzzDifferential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/difftest -fuzz 'FuzzAttribution$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -fuzz 'FuzzParseRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqltypes -fuzz 'FuzzEncodeKeyInjective$$' -fuzztime $(FUZZTIME)
 
 ## bench: the full benchmark families (reduced scales; minutes).
 bench:

@@ -251,17 +251,9 @@ func BenchmarkE4Ablations(b *testing.B) {
 // BenchmarkE5Aggregates measures the aggregate extension (COUNT/SUM
 // assertions, the paper's §5 future work) against the same update.
 func BenchmarkE5Aggregates(b *testing.B) {
-	aggs := map[string]string{
-		"countCap": `CREATE ASSERTION atMostTwentyLineItems CHECK(
-  NOT EXISTS (
-    SELECT * FROM orders AS o
-    WHERE (SELECT COUNT(*) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 20))`,
-		"sumCap": `CREATE ASSERTION totalQuantityCap CHECK(
-  NOT EXISTS (
-    SELECT * FROM orders AS o
-    WHERE (SELECT SUM(l.l_quantity) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 100000))`,
-	}
-	for name, sql := range aggs {
+	aggs := tpch.AggregateAssertions()
+	for i, name := range []string{"countCap", "sumCap"} {
+		sql := aggs[i]
 		b.Run(name, func(b *testing.B) {
 			f := getFixture(b, 1, core.DefaultOptions(), "e5-"+name, []string{sql})
 			stageUpdate(b, f, 1)
@@ -339,6 +331,44 @@ func BenchmarkSafeCommit(b *testing.B) {
 	after := f.tool.Engine().PlanCacheStats()
 	if after.Misses != warm.Misses {
 		b.Fatalf("commit-time checking compiled plans: misses %d -> %d", warm.Misses, after.Misses)
+	}
+}
+
+// BenchmarkSafeCommitBalancedDeletes measures the check of a balanced update
+// (half deletions of whole orders, half new orders) against nine assertions:
+// the complexity suite plus the two aggregates. Every view of a
+// deleted-from table subtracts del_T from T, a row-identity anti-join; the
+// check stays linear in the update only if that anti-join probes del_T's
+// identity index, so ns/op must grow about 5×, not 25×, from 1000 to 5000
+// rows.
+func BenchmarkSafeCommitBalancedDeletes(b *testing.B) {
+	assertions := append(tpch.ComplexityAssertions(), tpch.AggregateAssertions()...)
+	for _, rows := range []int{1000, 5000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			f := getFixture(b, 1, core.DefaultOptions(), "balanced", assertions)
+			u, err := f.gen.BalancedUpdate("balanced", rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := u.Stage(f.tool.DB()); err != nil {
+				b.Fatal(err)
+			}
+			defer f.tool.DB().TruncateEvents()
+			if _, err := f.tool.Check(); err != nil { // warm, untimed
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := f.tool.Check()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Violations) != 0 {
+					b.Fatal("clean balanced update flagged")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(u.Rows()), "ns/row")
+		})
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 
 // Clone returns an independent copy of a compiled plan for use by one
 // worker of the parallel commit-check scheduler: the immutable plan shape
-// (AST, conjunct placement, probe offsets, sources, index handles) is
-// shared, while every piece of per-execution state — scope tuples, probe
-// value buffers, key scratch, level visitors, IN-subquery memos — is
-// private to the clone. Two goroutines may then execute the original and
-// the clone (or two clones) concurrently over a quiescent database.
+// (AST, conjunct placement, probe offsets and NULL-safe masks, sources,
+// index handles) is shared, while every piece of per-execution state — scope
+// tuples, probe value buffers, key scratch, level visitors, IN-subquery
+// memos — is private to the clone. Two goroutines may then execute the
+// original and the clone (or two clones) concurrently over a quiescent
+// database.
 func (p *PreparedQuery) Clone() *PreparedQuery {
 	n := &PreparedQuery{
 		eng:           p.eng,
@@ -87,14 +88,15 @@ func (c *cloner) cloneScope(s *scope) *scope {
 
 func (c *cloner) cloneExec(ex *exec) *exec {
 	n := &exec{
-		eng:        ex.eng,
-		sel:        ex.sel,
-		scope:      c.cloneScope(ex.scope),
-		prefilters: ex.prefilters,
-		filters:    ex.filters,
-		probes:     ex.probes,
-		probeOffs:  ex.probeOffs,
-		probeIdx:   append([]*storage.Index(nil), ex.probeIdx...),
+		eng:           ex.eng,
+		sel:           ex.sel,
+		scope:         c.cloneScope(ex.scope),
+		prefilters:    ex.prefilters,
+		filters:       ex.filters,
+		probes:        ex.probes,
+		probeOffs:     ex.probeOffs,
+		probeNullSafe: ex.probeNullSafe,
+		probeIdx:      append([]*storage.Index(nil), ex.probeIdx...),
 		// A permanent range restriction (ClonePartition) is part of the
 		// plan's meaning, not per-execution state: dropping it here would
 		// make a clone of a range-bound clone silently scan the whole

@@ -84,11 +84,13 @@ type exec struct {
 	filters [][]sqlparser.Expr
 	// probes[k] holds equality conjuncts usable as index probes on source k.
 	probes [][]probe
-	// probeOffs[k] / probeVals[k] are the probe column offsets (fixed at
-	// plan time) and a value scratch buffer, so the join loop performs
-	// index probes without allocating.
-	probeOffs [][]int
-	probeVals [][]sqltypes.Value
+	// probeOffs[k] / probeNullSafe[k] are the probe column offsets and the
+	// per-column NULL-safe mask, both fixed at plan time; probeVals[k] is
+	// the buffer loop evaluates the probe values into once per visit of
+	// level k, so the join loop performs index probes without allocating.
+	probeOffs     [][]int
+	probeNullSafe [][]bool
+	probeVals     [][]sqltypes.Value
 	// probeIdx[k] caches the index handle for source k, resolved on first
 	// probe (or eagerly by PreparedQuery.EnsureIndexes).
 	probeIdx []*storage.Index
@@ -153,7 +155,8 @@ type level struct {
 	cont bool
 	err  error
 	// tryFn is the probe-path visitor (bind row, filters, recurse);
-	// visitFn additionally re-checks probe conjuncts on the scan path.
+	// visitFn first matches the row against the probe values, for sources
+	// that have no index to do it (view output).
 	tryFn   func(sqltypes.Row) bool
 	visitFn func(sqltypes.Row) bool
 }
@@ -293,6 +296,10 @@ func (ex *exec) runExists() (bool, error) {
 type probe struct {
 	colIdx int            // column offset in source k
 	expr   sqlparser.Expr // expression bound before source k
+	// nullSafe: the conjunct was col = expr OR (col IS NULL AND expr IS
+	// NULL), so a NULL probe value matches the rows holding NULL; under a
+	// plain col = expr it matches nothing.
+	nullSafe bool
 }
 
 // newExec compiles one SELECT block and, recursively, every subquery in its
@@ -324,6 +331,7 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 		}
 	}
 	ex.probeOffs = make([][]int, len(sc.srcs))
+	ex.probeNullSafe = make([][]bool, len(sc.srcs))
 	ex.probeVals = make([][]sqltypes.Value, len(sc.srcs))
 	ex.probeIdx = make([]*storage.Index, len(sc.srcs))
 	for k, ps := range ex.probes {
@@ -331,8 +339,10 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 			continue
 		}
 		ex.probeOffs[k] = make([]int, len(ps))
+		ex.probeNullSafe[k] = make([]bool, len(ps))
 		for i, p := range ps {
 			ex.probeOffs[k][i] = p.colIdx
+			ex.probeNullSafe[k][i] = p.nullSafe
 		}
 		ex.probeVals[k] = make([]sqltypes.Value, len(ps))
 	}
@@ -439,15 +449,24 @@ func (ex *exec) placeConjunct(c sqlparser.Expr) error {
 		ex.prefilters = append(ex.prefilters, c)
 		return nil
 	}
-	// Equality probe: src[lvl].col = expr(<lvl or outer), either direction.
+	// Equality probe: src[lvl].col = expr(<lvl or outer), either direction,
+	// plain or NULL-safe.
 	if !ex.eng.DisableIndexProbes {
+		var l, r sqlparser.Expr
+		nullSafe := false
 		if b, ok := c.(*sqlparser.Binary); ok && b.Op == sqlparser.OpEq {
-			for _, cand := range [2][2]sqlparser.Expr{{b.L, b.R}, {b.R, b.L}} {
-				p, ok2, err := ex.tryProbe(lvl, cand[0], cand[1])
+			l, r = b.L, b.R
+		} else if a, b, ok := sqlparser.NullSafeEquality(c); ok {
+			l, r, nullSafe = a, b, true
+		}
+		if l != nil {
+			for _, cand := range [2][2]sqlparser.Expr{{l, r}, {r, l}} {
+				p, ok, err := ex.tryProbe(lvl, cand[0], cand[1])
 				if err != nil {
 					return err
 				}
-				if ok2 {
+				if ok {
+					p.nullSafe = nullSafe
 					ex.probes[lvl] = append(ex.probes[lvl], p)
 					return nil
 				}
@@ -549,17 +568,18 @@ func (lv *level) tryRow(r sqltypes.Row) bool {
 	return c
 }
 
-// visit is the scan-path callback: probe conjuncts that could not use an
-// index are re-checked as filters before tryRow.
+// visit is the scan-path callback for a source with probes but no index
+// (view output): the row is matched against the probe values loop evaluated,
+// then handed to tryRow.
 func (lv *level) visit(r sqltypes.Row) bool {
 	ex := lv.ex
-	for _, p := range ex.probes[lv.k] {
-		v, err := ex.evalValue(p.expr)
-		if err != nil {
-			lv.err = err
-			return false
+	vals := ex.probeVals[lv.k]
+	for i, p := range ex.probes[lv.k] {
+		match := sqltypes.Equal
+		if p.nullSafe {
+			match = sqltypes.Identical
 		}
-		if !sqltypes.Equal(r[p.colIdx], v) {
+		if !match(r[p.colIdx], vals[i]) {
 			return true
 		}
 	}
@@ -582,15 +602,19 @@ func (ex *exec) loop(k int) (bool, error) {
 	lv.cont = true
 	lv.err = nil
 
-	if len(ex.probes[k]) > 0 && src.table != nil {
-		vals := ex.probeVals[k]
-		for i, p := range ex.probes[k] {
-			v, err := ex.evalValue(p.expr)
-			if err != nil {
-				return false, err
-			}
-			vals[i] = v
+	// The probe values depend only on sources bound before k: evaluate them
+	// once here, for the index lookup and the scan path alike.
+	vals := ex.probeVals[k]
+	for i, p := range ex.probes[k] {
+		v, err := ex.evalValue(p.expr)
+		if err != nil {
+			return false, err
 		}
+		vals[i] = v
+	}
+
+	switch {
+	case src.table != nil && len(vals) > 0:
 		idx := ex.probeIdx[k]
 		if idx == nil {
 			var err error
@@ -600,23 +624,15 @@ func (ex *exec) loop(k int) (bool, error) {
 			}
 			ex.probeIdx[k] = idx
 		}
-		idx.ScanEqualScratch(&ex.keyScratch, vals, lv.tryFn)
-		ex.scope.tuple[k] = nil
-		if lv.err != nil {
-			return false, lv.err
-		}
-		return lv.cont, nil
-	}
-
-	// Scan path: base-table scan or this execution's view output, applying
-	// any probe conjuncts as filters.
-	if src.table != nil {
+		idx.ScanEqualScratch(&ex.keyScratch, vals, ex.probeNullSafe[k], lv.tryFn)
+	case src.table != nil:
 		if k == 0 && ex.hasRange {
 			src.table.ScanRange(ex.scanRange, lv.visitFn)
 		} else {
 			src.table.Scan(lv.visitFn)
 		}
-	} else {
+	default:
+		// This execution's view output, produced on first use.
 		if !src.fresh {
 			if err := src.view.QueryInto(&src.out); err != nil {
 				return false, err

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"tintin/internal/sqlparser"
@@ -47,6 +48,10 @@ type ExplainSource struct {
 	Access       string   `json:"access"`
 	ProbeColumns []string `json:"probe_columns,omitempty"`
 	ProbeExprs   []string `json:"probe_exprs,omitempty"`
+	// ProbeNullSafe, parallel to ProbeColumns, marks the columns matched
+	// NULL-safely (a NULL probe value finds the rows holding NULL); omitted
+	// when every probe of the source is a plain equality.
+	ProbeNullSafe []bool `json:"probe_null_safe,omitempty"`
 	// Filters are the residual conjuncts first checked once this source is
 	// bound.
 	Filters []string `json:"filters,omitempty"`
@@ -112,6 +117,9 @@ func explainExec(ex *exec, distinct, aggregate bool) ExplainBranch {
 			for _, pr := range ex.probes[k] {
 				s.ProbeColumns = append(s.ProbeColumns, src.cols[pr.colIdx])
 				s.ProbeExprs = append(s.ProbeExprs, sqlparser.FormatExpr(pr.expr))
+			}
+			if slices.Contains(ex.probeNullSafe[k], true) {
+				s.ProbeNullSafe = ex.probeNullSafe[k]
 			}
 		}
 		if len(ex.filters) > k {

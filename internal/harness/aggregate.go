@@ -5,20 +5,8 @@ import (
 
 	"tintin/internal/baseline"
 	"tintin/internal/core"
+	"tintin/internal/tpch"
 )
-
-// Aggregate assertions for E5 — the extension the paper names as future
-// work (§5): COUNT and SUM conditions checked incrementally.
-var e5Assertions = []string{
-	`CREATE ASSERTION atMostTwentyLineItems CHECK(
-  NOT EXISTS (
-    SELECT * FROM orders AS o
-    WHERE (SELECT COUNT(*) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 20))`,
-	`CREATE ASSERTION totalQuantityCap CHECK(
-  NOT EXISTS (
-    SELECT * FROM orders AS o
-    WHERE (SELECT SUM(l.l_quantity) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 100000))`,
-}
 
 // RunE5 measures the aggregate extension: incremental COUNT/SUM checking vs
 // re-running the aggregate assertion queries in full. This experiment has no
@@ -34,7 +22,7 @@ func RunE5(cfg Config) (*Table, error) {
 			"paper §5 names aggregates as future work; this reproduces the COUNT/SUM extension",
 		},
 	}
-	for _, sql := range e5Assertions {
+	for _, sql := range tpch.AggregateAssertions() {
 		tool, gen, err := setup(cfg, gb, core.DefaultOptions(), []string{sql})
 		if err != nil {
 			return nil, err

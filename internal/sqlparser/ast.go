@@ -370,6 +370,37 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// NullSafeEquality recognises the NULL-safe equality of a and b — row
+// identity, where NULL matches NULL — in the one spelling SQL without IS NOT
+// DISTINCT FROM has for it: a = b OR (a IS NULL AND b IS NULL). The operands
+// may come in either order in both halves, and so may the halves. Operands
+// are matched by their printed form, so a view re-parsed from stored text is
+// recognised exactly like the tree the generator built.
+func NullSafeEquality(e Expr) (a, b Expr, ok bool) {
+	or, isOr := e.(*Binary)
+	if !isOr || or.Op != OpOr {
+		return nil, nil, false
+	}
+	for _, halves := range [2][2]Expr{{or.L, or.R}, {or.R, or.L}} {
+		eq, isEq := halves[0].(*Binary)
+		and, isAnd := halves[1].(*Binary)
+		if !isEq || eq.Op != OpEq || !isAnd || and.Op != OpAnd {
+			continue
+		}
+		n1, ok1 := and.L.(*IsNull)
+		n2, ok2 := and.R.(*IsNull)
+		if !ok1 || !ok2 || n1.Negated || n2.Negated {
+			continue
+		}
+		l, r := FormatExpr(eq.L), FormatExpr(eq.R)
+		x, y := FormatExpr(n1.E), FormatExpr(n2.E)
+		if l == x && r == y || l == y && r == x {
+			return eq.L, eq.R, true
+		}
+	}
+	return nil, nil, false
+}
+
 // AndAll combines the expressions with AND; nil for an empty list.
 func AndAll(es []Expr) Expr {
 	var out Expr

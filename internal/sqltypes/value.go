@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -149,7 +150,8 @@ func Compare(a, b Value) (cmp int, ok bool) {
 		return 0, false
 	}
 	if a.IsNumeric() && b.IsNumeric() {
-		if a.kind == KindInt && b.kind == KindInt {
+		switch {
+		case a.kind == KindInt && b.kind == KindInt:
 			switch {
 			case a.i < b.i:
 				return -1, true
@@ -157,15 +159,12 @@ func Compare(a, b Value) (cmp int, ok bool) {
 				return 1, true
 			}
 			return 0, true
+		case a.kind == KindInt:
+			return compareIntFloat(a.i, b.f), true
+		case b.kind == KindInt:
+			return -compareIntFloat(b.i, a.f), true
 		}
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		}
-		return 0, true
+		return compareFloat(a.f, b.f), true
 	}
 	if a.kind != b.kind {
 		return 0, false
@@ -202,24 +201,74 @@ func Identical(a, b Value) bool {
 	return Equal(a, b)
 }
 
-// EncodeKey appends a stable, injective-per-kind-class encoding of v to dst.
+// compareFloat orders two REALs. NaN has no SQL literal but arithmetic can
+// produce it; it equals itself and sorts above every number, so Compare
+// stays a total order on numerics and agrees with EncodeKey.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	switch an, bn := a != a, b != b; {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
+}
+
+// compareIntFloat orders an INTEGER against a REAL exactly. Converting the
+// integer to float64 first would round it: 2^53+1 would equal 2^53.0 while
+// differing from the INTEGER 2^53, and equality would stop being transitive.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f, f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	t := int64(f) // f is inside the int64 range: truncation toward zero, exact
+	switch {
+	case i < t:
+		return -1
+	case i > t:
+		return 1
+	}
+	return compareFloat(0, f-float64(t)) // the fraction decides
+}
+
+// EncodeKey appends an encoding of v to dst that is injective up to
+// Identical, on single values and on concatenations of them: two rows of
+// equal arity have equal keys exactly when IdenticalRows holds. Hash-index
+// buckets, the primary-key map, IN-subquery sets and DISTINCT all trust a key
+// match without re-comparing, so a collision there is a wrong answer.
+//
 // Numerically equal INTEGER and REAL values encode identically so that hash
-// index probes agree with Compare.
+// index probes agree with Compare; an INTEGER that float64 cannot represent
+// (beyond ±2^53) equals no REAL and gets an exact encoding of its own.
+// Strings are length-prefixed, so no string content can imitate a column
+// boundary. NULL encodes as a value: callers that need SQL equality keep
+// NULLs out of the key themselves.
 func (v Value) EncodeKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, 0x00)
-	case KindInt, KindFloat:
-		// Integers that fit exactly in float64 share the float encoding.
-		bits := math.Float64bits(v.Float())
-		var b [9]byte
-		b[0] = 0x01
-		binary.BigEndian.PutUint64(b[1:], bits)
-		return append(dst, b[:]...)
+	case KindInt:
+		if f := float64(v.i); f < 1<<63 && int64(f) == v.i {
+			return appendFloatKey(dst, f)
+		}
+		return appendTagged(dst, 0x04, uint64(v.i))
+	case KindFloat:
+		return appendFloatKey(dst, v.f)
 	case KindString:
-		dst = append(dst, 0x02)
-		dst = append(dst, v.s...)
-		return append(dst, 0x00)
+		dst = slices.Grow(dst, 1+binary.MaxVarintLen64+len(v.s)) // one growth, none on a warm scratch
+		dst = binary.AppendUvarint(append(dst, 0x02), uint64(len(v.s)))
+		return append(dst, v.s...)
 	case KindBool:
 		if v.b {
 			return append(dst, 0x03, 0x01)
@@ -227,6 +276,27 @@ func (v Value) EncodeKey(dst []byte) []byte {
 		return append(dst, 0x03, 0x00)
 	}
 	return append(dst, 0xff)
+}
+
+// appendFloatKey encodes the bit pattern of f with the two cases where
+// compareFloat calls distinct patterns equal made canonical: -0 and the NaNs.
+func appendFloatKey(dst []byte, f float64) []byte {
+	switch {
+	case f == 0:
+		f = 0 // -0 becomes +0
+	case f != f:
+		f = math.NaN() // any payload becomes the one canonical NaN
+	}
+	return appendTagged(dst, 0x01, math.Float64bits(f))
+}
+
+// appendTagged appends tag and the 8 bytes of bits in one append, so a key
+// built from nil grows once.
+func appendTagged(dst []byte, tag byte, bits uint64) []byte {
+	var b [9]byte
+	b[0] = tag
+	binary.BigEndian.PutUint64(b[1:], bits)
+	return append(dst, b[:]...)
 }
 
 // Row is an ordered tuple of values.

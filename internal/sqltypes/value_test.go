@@ -265,3 +265,20 @@ func TestFloatIntKeyAgreement(t *testing.T) {
 		t.Skip()
 	}
 }
+
+// TestEncodeKeyAllocFree: the index probe path re-encodes its key into one
+// scratch buffer per probe and must not allocate doing so, whatever the kind.
+func TestEncodeKeyAllocFree(t *testing.T) {
+	row := Row{Null, NewInt(7), NewInt(1<<53 + 1), NewFloat(2.5), NewString("a string longer than eight bytes"), NewBool(true)}
+	scratch := make([]byte, 0, 128)
+	allocs := testing.AllocsPerRun(100, func() {
+		kb := scratch[:0]
+		for _, v := range row {
+			kb = v.EncodeKey(kb)
+		}
+		scratch = kb
+	})
+	if allocs != 0 {
+		t.Fatalf("EncodeKey into a warm scratch allocated %.0f times per row", allocs)
+	}
+}

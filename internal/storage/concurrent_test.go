@@ -82,7 +82,7 @@ func TestConcurrentReadersSharedIndex(t *testing.T) {
 				k := int64((i + r) % 50)
 				probe[0] = ci(k)
 				n := 0
-				idx.ScanEqualScratch(&scratch, probe, func(row sqltypes.Row) bool {
+				idx.ScanEqualScratch(&scratch, probe, nil, func(row sqltypes.Row) bool {
 					if row[0].Int() != k || row[1].Int() != k*7 {
 						t.Errorf("reader %d: torn row %v for key %d", r, row, k)
 						return false
@@ -143,7 +143,7 @@ func TestConcurrentProbesPrivateScratch(t *testing.T) {
 			for i := 0; i < 10000; i++ {
 				k := int64((g*13 + i) % 50)
 				got := int64(-1)
-				idx.ScanEqualScratch(&scratch, []sqltypes.Value{ci(k)}, func(row sqltypes.Row) bool {
+				idx.ScanEqualScratch(&scratch, []sqltypes.Value{ci(k)}, nil, func(row sqltypes.Row) bool {
 					got = row[0].Int()
 					return false
 				})

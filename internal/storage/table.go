@@ -14,8 +14,8 @@ import (
 // never write, which is what makes concurrent reading sound.
 //
 // Concurrency: a Table holds no internal scratch state, so any number of
-// goroutines may read concurrently (Scan, Rows, Len, Index.ScanEqual with
-// per-caller scratch) as long as nothing mutates the table — an immutable
+// goroutines may read concurrently (Scan, Rows, Len, Index.ScanEqualScratch
+// with per-caller scratch) as long as nothing mutates the table — an immutable
 // snapshot view, which is exactly the state safeCommit's parallel check
 // phase runs in. Mutations (Insert, Delete*, Truncate, index construction)
 // require exclusive access.
@@ -243,20 +243,21 @@ func (t *Table) Rows() []sqltypes.Row {
 	return out
 }
 
-// lookup returns the index's bucket for vals, or nil when any value is NULL
-// (NULL never equals anything). The probe key is encoded into *scratch,
-// which is grown and written back so a caller reusing one scratch across
-// probes never allocates. lookup itself is read-only: safe for concurrent
-// use as long as each caller brings its own scratch and the table is not
-// being mutated.
-func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value) []int {
-	for _, v := range vals {
-		if v.IsNull() {
+// lookup returns the index's bucket for vals. nullSafe[i] says how a NULL in
+// vals[i] compares: under a plain equality it equals nothing, so the bucket
+// is nil; under a NULL-safe one (row identity, where NULL matches NULL) it is
+// looked up like any other value, which works because EncodeKey encodes NULL
+// and the index is maintained over every row. A nil mask means all plain.
+// The probe key is encoded into *scratch, which is grown and written back so
+// a caller reusing one scratch across probes never allocates. lookup itself
+// is read-only: safe for concurrent use as long as each caller brings its own
+// scratch and the table is not being mutated.
+func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value, nullSafe []bool) []int {
+	kb := (*scratch)[:0]
+	for i, v := range vals {
+		if v.IsNull() && (nullSafe == nil || !nullSafe[i]) {
 			return nil
 		}
-	}
-	kb := (*scratch)[:0]
-	for _, v := range vals {
 		kb = v.EncodeKey(kb)
 	}
 	*scratch = kb
@@ -268,7 +269,7 @@ func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value) []int {
 // access (the hot path holds an Index handle and brings its own scratch).
 func (t *Table) probeSlots(offs []int, vals []sqltypes.Value) []int {
 	var scratch []byte
-	return t.ensureIndexOffsets(offs).lookup(&scratch, vals)
+	return t.ensureIndexOffsets(offs).lookup(&scratch, vals, nil)
 }
 
 // LookupEqual returns the live rows whose columns at offs equal vals,
@@ -309,20 +310,16 @@ func (t *Table) IndexOn(offs []int) (*Index, error) {
 	return &Index{t: t, ix: t.ensureIndexOffsets(offs)}, nil
 }
 
-// ScanEqual probes the index for vals and yields each matching live row
-// without materializing a result slice; returning false stops the scan.
-// A NULL value matches nothing. yield must not mutate the table.
-func (x *Index) ScanEqual(vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
-	var scratch []byte
-	x.ScanEqualScratch(&scratch, vals, yield)
-}
-
-// ScanEqualScratch is ScanEqual with a caller-owned key-encoding scratch
-// buffer, so a hot loop reusing one scratch probes without allocating. It is
-// strictly read-only: concurrent callers with private scratch buffers are
-// safe over a quiescent table.
-func (x *Index) ScanEqualScratch(scratch *[]byte, vals []sqltypes.Value, yield func(sqltypes.Row) bool) {
-	for _, s := range x.ix.lookup(scratch, vals) {
+// ScanEqualScratch probes the index for vals and yields each matching live
+// row without materializing a result slice; returning false stops the scan.
+// A NULL in vals[i] matches nothing unless nullSafe[i] is set, in which case
+// it matches the rows holding NULL in that column (nil: no column is
+// NULL-safe). The key is encoded into the caller-owned scratch, so a hot loop
+// reusing one scratch probes without allocating. It is strictly read-only:
+// concurrent callers with private scratch buffers are safe over a quiescent
+// table. yield must not mutate the table.
+func (x *Index) ScanEqualScratch(scratch *[]byte, vals []sqltypes.Value, nullSafe []bool, yield func(sqltypes.Row) bool) {
+	for _, s := range x.ix.lookup(scratch, vals, nullSafe) {
 		if !yield(x.t.rows[s]) {
 			return
 		}

@@ -123,7 +123,8 @@ func TestIndexAfterTruncate(t *testing.T) {
 		t.Fatalf("lookup after refill = %v, want [42]", got)
 	}
 	n := 0
-	idx.ScanEqual([]sqltypes.Value{iv(1)}, func(r sqltypes.Row) bool {
+	var scratch []byte
+	idx.ScanEqualScratch(&scratch, []sqltypes.Value{iv(1)}, nil, func(r sqltypes.Row) bool {
 		n++
 		if r[1].Int() != 42 {
 			t.Fatalf("stale row %v via pre-truncate handle", r)
@@ -135,8 +136,9 @@ func TestIndexAfterTruncate(t *testing.T) {
 	}
 }
 
-// TestScanEqualEarlyStopAndNull pins down the Index.ScanEqual contract used
-// by the join loop: early exit on yield=false, and NULL matching nothing.
+// TestScanEqualEarlyStopAndNull pins down the Index.ScanEqualScratch contract
+// used by the join loop: early exit on yield=false, and NULL matching nothing
+// under a plain equality.
 func TestScanEqualEarlyStopAndNull(t *testing.T) {
 	tb := newIndexTestTable(t)
 	for i := int64(0); i < 5; i++ {
@@ -148,16 +150,87 @@ func TestScanEqualEarlyStopAndNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var scratch []byte
 	n := 0
-	idx.ScanEqual([]sqltypes.Value{iv(1)}, func(sqltypes.Row) bool {
+	idx.ScanEqualScratch(&scratch, []sqltypes.Value{iv(1)}, nil, func(sqltypes.Row) bool {
 		n++
 		return n < 2
 	})
 	if n != 2 {
-		t.Fatalf("ScanEqual visited %d rows after early stop, want 2", n)
+		t.Fatalf("ScanEqualScratch visited %d rows after early stop, want 2", n)
 	}
-	idx.ScanEqual([]sqltypes.Value{sqltypes.Null}, func(sqltypes.Row) bool {
+	idx.ScanEqualScratch(&scratch, []sqltypes.Value{sqltypes.Null}, nil, func(sqltypes.Row) bool {
 		t.Fatal("NULL probe yielded a row")
 		return false
 	})
+}
+
+// TestScanEqualNullSafeMask: the mask decides, column by column, whether a
+// NULL probe value is looked up (row identity) or matches nothing (SQL =).
+func TestScanEqualNullSafeMask(t *testing.T) {
+	tb := newIndexTestTable(t)
+	null := sqltypes.Null
+	for _, r := range []sqltypes.Row{{iv(1), null}, {null, iv(2)}, {null, null}, {iv(1), iv(2)}} {
+		if err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idx, err := tb.IndexOn([]int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scratch []byte
+	for _, tc := range []struct {
+		vals []sqltypes.Value
+		mask []bool
+		want int
+	}{
+		{[]sqltypes.Value{iv(1), null}, nil, 0},
+		{[]sqltypes.Value{iv(1), null}, []bool{false, false}, 0},
+		{[]sqltypes.Value{iv(1), null}, []bool{false, true}, 1},
+		{[]sqltypes.Value{iv(1), null}, []bool{true, false}, 0}, // the NULL sits under the plain column
+		{[]sqltypes.Value{null, iv(2)}, []bool{true, false}, 1},
+		{[]sqltypes.Value{null, null}, []bool{true, true}, 1},
+		{[]sqltypes.Value{null, null}, []bool{true, false}, 0},
+		{[]sqltypes.Value{iv(1), iv(2)}, []bool{true, true}, 1},
+	} {
+		n := 0
+		idx.ScanEqualScratch(&scratch, tc.vals, tc.mask, func(r sqltypes.Row) bool {
+			if !sqltypes.IdenticalRows(r, tc.vals) {
+				t.Errorf("probe %v mask %v yielded %v", tc.vals, tc.mask, r)
+			}
+			n++
+			return true
+		})
+		if n != tc.want {
+			t.Errorf("probe %v mask %v: %d rows, want %d", tc.vals, tc.mask, n, tc.want)
+		}
+	}
+}
+
+// TestKeysBeyondFloat64Precision: two INTEGERs past 2^53 that round to the
+// same float64 are different keys. The primary-key map and the hash-index
+// buckets trust an encoded-key match without comparing values again.
+func TestKeysBeyondFloat64Precision(t *testing.T) {
+	s, err := NewSchema("t", []Column{
+		{Name: "k", Type: sqltypes.KindInt},
+		{Name: "v", Type: sqltypes.KindInt},
+	}, []string{"k"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := NewTable(s)
+	const big = int64(1) << 53 // 9007199254740992
+	if err := tb.Insert(sqltypes.Row{iv(big), iv(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if rows := tb.LookupEqual([]int{0}, []sqltypes.Value{iv(big + 1)}); len(rows) != 0 {
+		t.Fatalf("probe for %d returned %v", big+1, rows)
+	}
+	if err := tb.Insert(sqltypes.Row{iv(big + 1), iv(2)}); err != nil {
+		t.Fatalf("inserting primary key %d after %d: %v", big+1, big, err)
+	}
+	if rows := tb.LookupEqual([]int{0}, []sqltypes.Value{iv(big + 1)}); len(rows) != 1 || rows[0][1].Int() != 2 {
+		t.Fatalf("probe for %d = %v, want the one row (…, 2)", big+1, rows)
+	}
 }

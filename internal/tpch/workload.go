@@ -114,19 +114,7 @@ func (g *Generator) cleanUpdateRows(label string, target int) (*Update, error) {
 	for u.Rows() < target {
 		switch g.rng.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
-			// New order with 1-3 line items.
-			o := g.nextOrderKey
-			g.nextOrderKey++
-			nl := 1 + g.rng.Intn(3)
-			price := 0.0
-			for ln := 1; ln <= nl; ln++ {
-				qty := 1 + g.rng.Intn(50)
-				price += float64(qty) * 10
-				u.Inserts["lineitem"] = append(u.Inserts["lineitem"],
-					sqltypes.Row{ival(o), ival(ln), ival(g.rng.Intn(g.scale.Parts)), ival(g.rng.Intn(g.scale.Suppliers)), ival(qty)})
-			}
-			u.Inserts["orders"] = append(u.Inserts["orders"],
-				sqltypes.Row{ival(o), ival(g.rng.Intn(g.scale.Customers)), fval(price)})
+			g.newOrder(u)
 
 		case 6, 7:
 			// Extra line item for an existing order.
@@ -163,6 +151,48 @@ func (g *Generator) cleanUpdateRows(label string, target int) (*Update, error) {
 				u.Deletes["lineitem"] = append(u.Deletes["lineitem"], r.Clone())
 			}
 		}
+	}
+	return u, nil
+}
+
+// newOrder adds a new order with 1-3 line items to the batch.
+func (g *Generator) newOrder(u *Update) {
+	o := g.nextOrderKey
+	g.nextOrderKey++
+	nl := 1 + g.rng.Intn(3)
+	price := 0.0
+	for ln := 1; ln <= nl; ln++ {
+		qty := 1 + g.rng.Intn(50)
+		price += float64(qty) * 10
+		u.Inserts["lineitem"] = append(u.Inserts["lineitem"],
+			sqltypes.Row{ival(o), ival(ln), ival(g.rng.Intn(g.scale.Parts)), ival(g.rng.Intn(g.scale.Suppliers)), ival(qty)})
+	}
+	u.Inserts["orders"] = append(u.Inserts["orders"],
+		sqltypes.Row{ival(o), ival(g.rng.Intn(g.scale.Customers)), fval(price)})
+}
+
+// BalancedUpdate builds a clean batch of about rows tuples, half of them
+// deletions: whole orders with all their line items, oldest key first,
+// against new orders with 1-3 line items each. This is the steady-state
+// shape — the tables neither grow nor shrink — and the one in which every
+// new-state subtraction T ∧ ¬del_T of the incremental views has work to do.
+func (g *Generator) BalancedUpdate(label string, rows int) (*Update, error) {
+	u := NewUpdate(label)
+	orders, lineitems := g.db.MustTable("orders"), g.db.MustTable("lineitem")
+	for o := 0; u.Rows() < rows/2; o++ {
+		if o >= g.nextOrderKey {
+			return nil, fmt.Errorf("tpch: not enough orders to delete %d rows", rows/2)
+		}
+		key := []sqltypes.Value{ival(o)}
+		ord := orders.LookupEqual([]int{0}, key)
+		if len(ord) == 0 {
+			continue // deleted by an earlier, applied batch
+		}
+		u.Deletes["orders"] = append(u.Deletes["orders"], ord[0])
+		u.Deletes["lineitem"] = append(u.Deletes["lineitem"], lineitems.LookupEqual([]int{0}, key)...)
+	}
+	for u.Rows() < rows {
+		g.newOrder(u)
 	}
 	return u, nil
 }
@@ -258,6 +288,22 @@ var (
       SELECT * FROM nation AS n, region AS r
       WHERE n.n_nationkey = c.c_nationkey AND r.r_regionkey = n.n_regionkey)))`
 )
+
+// AggregateAssertions returns the two aggregate assertions of E5 — the
+// extension the paper names as future work (§5): a COUNT and a SUM condition
+// per order, checked incrementally.
+func AggregateAssertions() []string {
+	return []string{
+		`CREATE ASSERTION atMostTwentyLineItems CHECK(
+  NOT EXISTS (
+    SELECT * FROM orders AS o
+    WHERE (SELECT COUNT(*) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 20))`,
+		`CREATE ASSERTION totalQuantityCap CHECK(
+  NOT EXISTS (
+    SELECT * FROM orders AS o
+    WHERE (SELECT SUM(l.l_quantity) FROM lineitem AS l WHERE l.l_orderkey = o.o_orderkey) > 100000))`,
+	}
+}
 
 // ComplexityAssertions returns the E2 assertion suite in increasing
 // complexity order.
