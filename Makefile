@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal benchmark e1
+.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal benchmark e1 loc
 
 ## check: the tier-1 gate — vet, lint, build, and test everything.
 check: vet lint build test
@@ -25,9 +25,9 @@ test:
 
 ## test-race: the experiment harness (and everything else) under the race
 ## detector; slower, catches engine/state sharing mistakes. Includes the
-## parallel commit-check scheduler's concurrent-safeCommit tests, the
-## intra-view partitioned-check tests (partition parity + concurrent
-## partitioned commits), the observability tests (registry/tracer
+## parallel commit-check scheduler's concurrent-safeCommit tests (plain,
+## 4-worker fail-fast, and single-worker backends), the pool's plan-shape
+## test, the observability tests (registry/tracer
 ## primitives plus concurrent group commits against Stats()/trace-ring
 ## readers and against the ops server's /metrics + /debug/traces
 ## scrapers), the WAL/fault-injection tests (crash-recovery matrix,
@@ -58,10 +58,9 @@ bench:
 bench-safecommit:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommit$$' -benchmem .
 
-## bench-parallel: the parallel commit-check scaling curves (1/2/4/8
-## workers over the multi-assertion workload) — both the unsplit view-task
-## curve and the split-enabled curve (intra-view partitioning in auto
-## mode) — tracked in BENCH_safecommit.json.
+## bench-parallel: the parallel commit-check scaling curve (1/2/4/8
+## workers over the multi-assertion workload, one view per task), tracked
+## in BENCH_safecommit.json.
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitParallel' -benchmem .
 
@@ -89,3 +88,15 @@ benchmark:
 ## e1: print the headline experiment grid at test scale.
 e1:
 	$(GO) test ./internal/harness/ -run TestE1QuickGrid -v
+
+## loc: the size ledger — non-test Go lines outside vendor/ per top-level
+## package directory (internal/<pkg>, bench, cmd, examples), largest first,
+## then the total. Counts tracked files only (git ls-files), so build output
+## never inflates it.
+loc:
+	@git ls-files '*.go' ':(exclude)vendor/' ':(exclude)*_test.go' | awk ' \
+		{ n = split($$0, p, "/"); d = (p[1] == "internal" && n > 2) ? p[2] : p[1]; \
+		  while ((getline line < $$0) > 0) { lines[d]++; total++ }; close($$0) } \
+		END { sort = "sort -k2,2nr -k1,1"; \
+		      for (d in lines) printf "%-10s %6d\n", d, lines[d] | sort; close(sort); \
+		      printf "%-10s %6d\n", "total", total }'

@@ -425,17 +425,14 @@ func BenchmarkSafeCommitMetrics(b *testing.B) {
 //
 // Wall-clock scaling needs real cores: on a single-CPU box the curve is
 // flat and only measures scheduler overhead (which should stay within a
-// few percent of workers=1). This variant pins SplitThreshold negative —
-// intra-view splitting OFF — so its speedup ceiling is bounded by task
-// skew: the slowest single view (see -perview) is the critical path when
-// checks are the unit of work. BenchmarkSafeCommitParallelSplit measures
-// the same workload with the splitter on.
+// few percent of workers=1). A view is the unit of work, so the speedup
+// ceiling is bounded by task skew: the slowest single view (see -perview)
+// is the critical path.
 func BenchmarkSafeCommitParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opts := core.DefaultOptions()
 			opts.Workers = workers
-			opts.SplitThreshold = -1
 			f := getFixture(b, 1, opts, fmt.Sprintf("safecommit-par-%d", workers), tpch.ComplexityAssertions())
 			stageUpdate(b, f, 1)
 			defer f.tool.DB().TruncateEvents()
@@ -457,50 +454,6 @@ func BenchmarkSafeCommitParallel(b *testing.B) {
 			after := f.tool.Engine().PlanCacheStats()
 			if after.Misses != warm.Misses {
 				b.Fatalf("parallel commit-time checking compiled plans: misses %d -> %d", warm.Misses, after.Misses)
-			}
-		})
-	}
-}
-
-// BenchmarkSafeCommitParallelSplit is BenchmarkSafeCommitParallel with
-// intra-view splitting in auto mode (the default): views whose EWMA
-// estimate exceeds the fair per-worker share of the check have their
-// driving event scan cut into partition subtasks, so the slowest view no
-// longer bounds the speedup. On a single-CPU box the comparison to the
-// unsplit curve measures the splitter's overhead (partition bookkeeping +
-// merge), which must stay within a few percent; wall-clock gains need real
-// cores. Tracked in BENCH_safecommit.json.
-func BenchmarkSafeCommitParallelSplit(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.Workers = workers
-			f := getFixture(b, 1, opts, fmt.Sprintf("safecommit-split-%d", workers), tpch.ComplexityAssertions())
-			stageUpdate(b, f, 1)
-			defer f.tool.DB().TruncateEvents()
-			// Two untimed warm-ups: the first compiles leftovers, the second
-			// runs with a primed cost model, so the timed loop is entirely
-			// split-steady-state.
-			for i := 0; i < 2; i++ {
-				if _, err := f.tool.Check(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			warm := f.tool.Engine().PlanCacheStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := f.tool.Check()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Violations) != 0 {
-					b.Fatal("clean workload flagged")
-				}
-			}
-			b.StopTimer()
-			after := f.tool.Engine().PlanCacheStats()
-			if after.Misses != warm.Misses {
-				b.Fatalf("split commit-time checking compiled plans: misses %d -> %d", warm.Misses, after.Misses)
 			}
 		})
 	}

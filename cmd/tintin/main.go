@@ -5,15 +5,15 @@
 //
 // Usage:
 //
-//	tintin [-tpch n] [-script file] [-workers n] [-split dur] [-trace] [-trace-slow dur]
+//	tintin [-tpch n] [-script file] [-workers n] [-trace] [-trace-slow dur]
 //	       [-db file] [-wal dir] [-fsync always|interval|off]
 //	       [-debug-addr host:port] [-log level] [-trace-out file.json]
 //
 // With -tpch n, a TPC-H database with n*1000 orders is pre-loaded.
-// -workers enables the parallel commit-check scheduler; -split sets its
-// intra-view split threshold. -trace records a span tree per safeCommit
-// (readable via \trace); -trace-slow additionally promotes traces slower
-// than the given duration to a JSON line on stderr.
+// -workers enables the parallel commit-check scheduler, which checks that
+// many views at once. -trace records a span tree per safeCommit (readable
+// via \trace); -trace-slow additionally promotes traces slower than the
+// given duration to a JSON line on stderr.
 //
 // -debug-addr serves the operational endpoints (/metrics, /healthz,
 // /readyz, /debug/traces, /debug/pprof/*, /debug/vars) on the given
@@ -81,7 +81,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	tpchOrders := fs.Int("tpch", 0, "pre-load a TPC-H database with n*1000 orders")
 	seed := fs.Int64("seed", 42, "data generator seed")
 	workers := fs.Int("workers", 0, "commit-check worker count (0/1 = serial)")
-	split := fs.Duration("split", 0, "intra-view split threshold (0 = auto, <0 = off)")
 	trace := fs.Bool("trace", false, "record a span tree per safeCommit (see \\trace)")
 	traceSlow := fs.Duration("trace-slow", 0, "promote traces slower than this to stderr (implies -trace)")
 	dbPath := fs.String("db", "", "snapshot file: loaded on start when present, saved on exit")
@@ -104,7 +103,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 
 	opts := core.DefaultOptions()
 	opts.Workers = *workers
-	opts.SplitThreshold = *split
 	// The shell always carries a metrics registry so \stats has a runtime
 	// section; tracing stays opt-in (span recording is per-commit work).
 	opts.Metrics = obs.NewRegistry()

@@ -323,14 +323,13 @@ CALL safeCommit;
 `
 
 // TestStatsTraceGolden pins the \stats and \trace scrub output byte for
-// byte: with -workers 2 and a 1ns split threshold, the second safeCommit —
-// slow by the -trace-slow 1ns standard, so it is also promoted to the slow
-// log — must show the complete span tree (freeze, per-partition task spans
-// with split bounds and scrubbed worker ids, merge, apply), and \stats must
-// list the full metric catalog with deterministic counts. Regenerate with
-// UPDATE_GOLDEN=1.
+// byte: with -workers 2, each safeCommit — slow by the -trace-slow 1ns
+// standard, so also promoted to the slow log — must show the complete span
+// tree (freeze, one task span per checked view with its scrubbed worker id,
+// apply), and \stats must list the full metric catalog with deterministic
+// counts. Regenerate with UPDATE_GOLDEN=1.
 func TestStatsTraceGolden(t *testing.T) {
-	out := runShell(t, obsScript, "-workers", "2", "-split", "1ns", "-trace-slow", "1ns")
+	out := runShell(t, obsScript, "-workers", "2", "-trace-slow", "1ns")
 	const golden = "testdata/obs.golden"
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {

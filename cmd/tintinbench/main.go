@@ -13,7 +13,8 @@
 //
 // -perview skips the experiments and prints the per-view check-duration
 // skew table instead: which incremental views dominate a check, visible
-// without a profiler — the views the intra-view splitter partitions.
+// without a profiler — the top one bounds the parallel speedup, since a
+// view is the scheduler's unit of work.
 //
 // -metrics dumps the full metrics registry in Prometheus text format after
 // the run — every experiment tool publishes into one shared registry, the
@@ -61,7 +62,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 42, "generator seed")
 	quick := fs.Bool("quick", false, "small configuration for a fast smoke run")
 	workers := fs.Int("workers", 1, "parallel commit-check workers (1 = serial; >1 fans the per-assertion checks across a worker pool)")
-	perview := fs.Bool("perview", false, "print the per-view check-duration skew table instead of the experiments (which views dominate, what the splitter partitions)")
+	perview := fs.Bool("perview", false, "print the per-view check-duration skew table instead of the experiments (which views dominate, i.e. bound the parallel speedup)")
 	metrics := fs.Bool("metrics", false, "dump the metrics registry (Prometheus text format) after the run")
 	traceSlow := fs.Duration("trace-slow", 0, "trace commits and promote those slower than this to a JSON span tree on stderr (0 = off)")
 	walDir := fs.String("wal", "", "enable durability: per-tool WAL directories under this path, appends on the timed commit path")

@@ -38,23 +38,12 @@ type Options struct {
 	DisableIndexProbes bool
 	// Workers sets the commit-check fan-out. Every check runs through the
 	// same worker pool — private plan clones over the frozen database,
-	// violations merged deterministically in assertion order — and Workers
+	// violations reported deterministically in assertion order — and Workers
 	// is only its width: with Workers > 1 independent incremental views are
 	// checked concurrently, with 0 or 1 the pool's single worker runs them
 	// one after another on the calling goroutine. Any worker count produces
 	// identical CommitResults (TestParallelCheckParity).
 	Workers int
-	// SplitThreshold guides intra-view parallelism when Workers > 1: a view
-	// whose estimated check duration (an EWMA of observed durations, see
-	// CommitResult.ViewDurations) exceeds the threshold has its driving
-	// event scan split into row-range partitions, each checked as its own
-	// scheduler task, so one hot view saturates every worker instead of
-	// pinning one. Zero (the default) is auto mode — the threshold is the
-	// fair per-worker share of the check's total estimated work; negative
-	// disables splitting; positive is a fixed cut size. Results are merged
-	// in partition order and are bit-identical to an unsplit check
-	// (TestPartitionedCheckParity).
-	SplitThreshold time.Duration
 	// FailFast stops every view check at the first violating row: a
 	// rejected commit reports one witness tuple per violated view instead
 	// of the full violation set. For callers that only need accept/reject
@@ -68,7 +57,7 @@ type Options struct {
 	// one predictable branch per site (see internal/obs).
 	Metrics *obs.Registry
 	// Trace enables per-commit span recording: every SafeCommit produces a
-	// span tree (normalize → check → freeze/fan-out/merge → apply) kept in
+	// span tree (normalize → check: freeze, one task per view → apply) kept in
 	// a bounded ring readable via LastTrace / Tracer. Off by default; span
 	// storage is pooled, so steady-state tracing does not allocate.
 	Trace bool
@@ -79,9 +68,9 @@ type Options struct {
 	SlowTrace time.Duration
 	// SlowTraceWriter receives promoted slow traces (default os.Stderr).
 	SlowTraceWriter io.Writer
-	// ProfileLabels applies pprof labels (view, partition) to scheduler
-	// subtask execution so CPU profiles attribute worker samples. Off by
-	// default: label application allocates.
+	// ProfileLabels applies a pprof "view" label to scheduler task
+	// execution so CPU profiles attribute worker samples. Off by default:
+	// label application allocates.
 	ProfileLabels bool
 	// WALDir roots the durability subsystem: a write-ahead log of applied
 	// event batches plus snapshot checkpoints under this directory. Empty
@@ -162,9 +151,8 @@ type CommitResult struct {
 	// separately (it is per-transaction, not per-assertion).
 	NormalizeDuration time.Duration
 	// ViewDurations reports the observed evaluation time of every view this
-	// check evaluated, in check order (for a split check, the summed
-	// partition times — the view's work, not its wall time). It feeds the
-	// splitter's cost model and tintinbench's -perview skew table.
+	// check evaluated, in check order. It feeds the per-view latency
+	// histograms and tintinbench's -perview skew table.
 	ViewDurations []ViewDuration
 }
 
@@ -186,8 +174,6 @@ type Tool struct {
 	// handed to it, reused across commits.
 	pool  *sched.Pool
 	tasks []sched.Task
-	// cost estimates per-view check durations (EWMA) for the task splitter.
-	cost costModel
 
 	// met holds the resolved metric pointers (all nil when Options.Metrics
 	// is unset); tracer records per-commit span trees (nil when tracing is
@@ -504,21 +490,13 @@ func (t *Tool) rowLimit() int {
 // runChecks evaluates the check list through the scheduler's worker pool.
 // Plans are resolved (and any missing probe index built) before the pool
 // runs; the database is frozen for the run's duration so every worker probes
-// an immutable snapshot; and outcomes are merged back in check-list order, so
-// violation ordering does not depend on the pool's width. Every view's
-// duration is measured and fed to the cost model.
-//
-// The cost model decides which views to split: a view whose estimated
-// duration exceeds the split threshold (see Options.SplitThreshold) and
-// whose plan is driven by an event-table scan becomes several partition
-// subtasks instead of one task, so the slowest view no longer bounds the
-// fan-out's makespan. The pool merges partition outputs in range order, so
-// splitting never changes a CommitResult.
+// an immutable snapshot; and outcomes come back in check-list order, so
+// violation ordering does not depend on the pool's width. Every view is one
+// task, and every view's duration is measured.
 func (t *Tool) runChecks(checks []viewCheck, res *CommitResult, parent *obs.Span) error {
 	limit := t.rowLimit()
-	parts := t.cost.splitParts(checks, t.pool.Workers(), t.opts.SplitThreshold)
 	tasks := t.tasks[:0]
-	for i, c := range checks {
+	for _, c := range checks {
 		//tintin:allow hotpathcompile cache hit for installed views; TestSafeCommitUsesPlanCache pins zero commit-time compiles
 		p, err := t.eng.PrepareView(c.view)
 		if err != nil {
@@ -527,11 +505,7 @@ func (t *Tool) runChecks(checks []viewCheck, res *CommitResult, parent *obs.Span
 		if err := p.EnsureIndexes(); err != nil {
 			return fmt.Errorf("tintin: evaluating %s: %w", c.view, err)
 		}
-		task := sched.Task{Plan: p, Limit: limit}
-		if parts[i] > 1 && splittable(p) {
-			task.Parts = parts[i]
-		}
-		tasks = append(tasks, task)
+		tasks = append(tasks, sched.Task{Plan: p, Limit: limit})
 	}
 	t.tasks = tasks
 
@@ -547,7 +521,7 @@ func (t *Tool) runChecks(checks []viewCheck, res *CommitResult, parent *obs.Span
 			return fmt.Errorf("tintin: evaluating %s: %w", c.view, out.Err)
 		}
 		res.ViewDurations = append(res.ViewDurations, ViewDuration{View: c.view, Duration: out.Duration})
-		t.observeView(c.view, out.Duration)
+		t.met.perView[c.view].ObserveDuration(out.Duration) // nil (a no-op) when unwired
 		if len(out.Rows) > 0 {
 			res.Violations = append(res.Violations, Violation{
 				Assertion: c.assertion.Name,

@@ -43,7 +43,7 @@ func NewBankTool(t testing.TB, workers int) *core.Tool {
 }
 
 // NewBankToolOpts is NewBankTool with full control over the tool options
-// (worker count, split threshold, fail-fast, ablation toggles).
+// (worker count, fail-fast, ablation toggles).
 func NewBankToolOpts(t testing.TB, opts core.Options) *core.Tool {
 	t.Helper()
 	db := storage.NewDB("bank")

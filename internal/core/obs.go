@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"tintin/internal/obs"
 	"tintin/internal/sched"
 )
@@ -36,14 +34,9 @@ type toolMetrics struct {
 	attribRechecks   *obs.Counter // individual re-checks attribution triggered
 	attribFallbacks  *obs.Counter // attributions that degraded to per-delta
 
-	// perView caches each view's check histogram and EWMA-estimate gauge;
-	// only the commit coordinator touches the map, so it needs no lock.
-	perView map[string]viewMetrics
-}
-
-type viewMetrics struct {
-	checkNS *obs.Histogram
-	estNS   *obs.Gauge
+	// perView caches each view's check histogram; only the commit
+	// coordinator touches the map, so it needs no lock.
+	perView map[string]*obs.Histogram
 }
 
 // initMetrics resolves every metric pointer and registers the live
@@ -65,7 +58,7 @@ func (t *Tool) initMetrics(reg *obs.Registry) {
 	m.attribImplicated = reg.Counter("tintin_commit_attrib_implicated_total")
 	m.attribRechecks = reg.Counter("tintin_commit_attrib_rechecks_total")
 	m.attribFallbacks = reg.Counter("tintin_commit_attrib_fallbacks_total")
-	m.perView = make(map[string]viewMetrics)
+	m.perView = make(map[string]*obs.Histogram)
 
 	// The engine already counts plan-cache traffic (atomically, see
 	// engine.PlanCacheStats); export it as live read-time gauges instead of
@@ -76,7 +69,6 @@ func (t *Tool) initMetrics(reg *obs.Registry) {
 
 	t.pool.SetMetrics(sched.PoolMetrics{
 		Tasks:      reg.Counter("tintin_sched_tasks_total"),
-		TasksSplit: reg.Counter("tintin_sched_tasks_split_total"),
 		Subtasks:   reg.Counter("tintin_sched_subtasks_total"),
 		QueueDepth: reg.Gauge("tintin_sched_queue_depth"),
 		BusyNS:     reg.Counter("tintin_sched_worker_busy_ns_total"),
@@ -99,10 +91,10 @@ func (t *Tool) committerMetrics() sched.CommitterMetrics {
 	}
 }
 
-// registerViewMetrics resolves a view's latency histogram and EWMA-estimate
-// gauge once, at assertion-registration time. Doing the registry lookups
-// here keeps observeView — which runs after every view check on the commit
-// path — lookup-free (the tintinvet obsdirect analyzer enforces this).
+// registerViewMetrics resolves a view's latency histogram once, at
+// assertion-registration time. Doing the registry lookup here keeps the
+// commit path, which observes every checked view, lookup-free (the tintinvet
+// obsdirect analyzer enforces this).
 func (t *Tool) registerViewMetrics(view string) {
 	if t.met.reg == nil {
 		return
@@ -110,26 +102,7 @@ func (t *Tool) registerViewMetrics(view string) {
 	if _, ok := t.met.perView[view]; ok {
 		return
 	}
-	t.met.perView[view] = viewMetrics{
-		checkNS: t.met.reg.Histogram(obs.Label("tintin_view_check_ns", "view", view)),
-		estNS:   t.met.reg.Gauge(obs.Label("tintin_cost_est_ns", "view", view)),
-	}
-}
-
-// observeView feeds one measured view-check duration to the cost model and,
-// when wired, to the view's latency histogram and EWMA-estimate gauge — the
-// surface that lets operators compare the splitter's estimates against
-// actuals. Coordinator-only, like the cost model itself. The instruments
-// were resolved by registerViewMetrics when the view was installed; this
-// path only reads the map.
-func (t *Tool) observeView(view string, d time.Duration) {
-	t.cost.observe(view, d)
-	vm, ok := t.met.perView[view]
-	if !ok {
-		return
-	}
-	vm.checkNS.ObserveDuration(d)
-	vm.estNS.Set(int64(t.cost.estimate(view)))
+	t.met.perView[view] = t.met.reg.Histogram(obs.Label("tintin_view_check_ns", "view", view))
 }
 
 // Metrics returns the registry the tool publishes into (nil when unwired).

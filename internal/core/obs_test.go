@@ -2,9 +2,10 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tintin/internal/obs"
 	"tintin/internal/sched"
@@ -145,8 +146,8 @@ func TestMetricsUnderConcurrentCommits(t *testing.T) {
 }
 
 // TestSafeCommitTraceTree pins the span-tree shape of a traced, committed
-// SafeCommit at the default width: normalize → check (freeze, a per-view
-// task span, merge) → apply, all under one safecommit root.
+// SafeCommit at the default width: normalize → check (freeze, then one task
+// span per checked view) → apply, all under one safecommit root.
 func TestSafeCommitTraceTree(t *testing.T) {
 	db := storage.NewDB("trace")
 	opts := DefaultOptions()
@@ -196,22 +197,19 @@ func TestSafeCommitTraceTree(t *testing.T) {
 		}
 	}
 	check := tr.Root.Children[1]
-	if len(check.Children) != 3 || check.Children[0].Name != "freeze" ||
-		check.Children[1].Name != "task" || check.Children[2].Name != "merge" {
-		t.Fatalf("check spans = %+v, want freeze, one task span, merge", check.Children)
+	if len(check.Children) != 1+res.ViewsChecked || check.Children[0].Name != "freeze" {
+		t.Fatalf("check spans = %+v, want freeze and %d task spans", check.Children, res.ViewsChecked)
 	}
-	task := check.Children[1]
-	var view, lane string
-	for _, a := range task.Attrs {
-		switch a.Key {
-		case "view":
-			view = a.Value()
-		case "lane":
-			lane = a.Value()
+	for i, task := range check.Children[1:] {
+		var keys []string
+		for _, a := range task.Attrs {
+			keys = append(keys, a.Key)
 		}
-	}
-	if view == "" || lane != "whole" {
-		t.Fatalf("task attrs = %+v, want view attr and lane=whole", task.Attrs)
+		if task.Name != "task" || !reflect.DeepEqual(keys, []string{"view", "worker", "rows"}) ||
+			task.Attrs[0].Value() != res.ViewDurations[i].View {
+			t.Fatalf("check span %d = %+v, want a task span for view %s with worker and rows",
+				i+1, task, res.ViewDurations[i].View)
+		}
 	}
 
 	// The rejected path swaps apply for truncate.
@@ -232,20 +230,37 @@ func TestSafeCommitTraceTree(t *testing.T) {
 	}
 }
 
-// TestObserveViewExportsEstimates checks that per-view histograms and the
-// cost model's EWMA gauges land in the registry under labeled names.
-func TestObserveViewExportsEstimates(t *testing.T) {
+// TestViewCheckHistograms: every checked view's duration lands in its
+// labeled tintin_view_check_ns histogram, and nothing else is exported per
+// view.
+func TestViewCheckHistograms(t *testing.T) {
 	tool := newObsTool(t)
-	tool.registerViewMetrics("v_x_1") // normally done when the view is installed
-	tool.observeView("v_x_1", 100*time.Microsecond)
-	tool.observeView("v_x_1", 200*time.Microsecond)
-	snap := tool.Metrics().Snapshot()
-	hs, ok := snap.Histograms[obs.Label("tintin_view_check_ns", "view", "v_x_1")]
-	if !ok || hs.Count != 2 {
-		t.Fatalf("per-view histogram: %+v ok=%v", hs, ok)
+	var checked int
+	for id := int64(3); id < 5; id++ {
+		if err := tool.DB().Insert("acct", sqltypes.Row{sqltypes.NewInt(id), sqltypes.NewFloat(1)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tool.SafeCommit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked += res.ViewsChecked
 	}
-	est, ok := snap.Gauges[obs.Label("tintin_cost_est_ns", "view", "v_x_1")]
-	if !ok || est != int64(tool.cost.estimate("v_x_1")) {
-		t.Fatalf("cost gauge = %d ok=%v, model says %d", est, ok, tool.cost.estimate("v_x_1"))
+	snap := tool.Metrics().Snapshot()
+	var observed int64
+	for _, v := range tool.Assertion("positiveBalance").Views {
+		hs, ok := snap.Histograms[obs.Label("tintin_view_check_ns", "view", v)]
+		if !ok {
+			t.Fatalf("no histogram for view %s", v)
+		}
+		observed += hs.Count
+	}
+	if checked == 0 || observed != int64(checked) {
+		t.Fatalf("per-view histograms hold %d samples for %d checked views", observed, checked)
+	}
+	for name := range snap.Gauges {
+		if strings.Contains(name, ";view=") {
+			t.Fatalf("per-view gauge %s exported", name)
+		}
 	}
 }

@@ -71,6 +71,103 @@ func TestParallelCheckParity(t *testing.T) {
 	}
 }
 
+// stageTransfers stages n transfers through the capture layer, every 7th
+// one violating positiveAmount (amount 0) and every 11th one referencing
+// the closed account 300, so several views are violated by several rows.
+func stageTransfers(t testing.TB, tool *core.Tool, n int) {
+	t.Helper()
+	iv := sqltypes.NewInt
+	fv := sqltypes.NewFloat
+	for i := 0; i < n; i++ {
+		amount := 1.5
+		if i%7 == 0 {
+			amount = 0
+		}
+		to := int64(200)
+		if i%11 == 0 {
+			to = 300
+		}
+		row := sqltypes.Row{iv(int64(5000 + i)), iv(100), iv(to), fv(amount)}
+		if err := tool.DB().Insert("transfer", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFailFast: with FailFast every violated view reports exactly one
+// witness row — the first the full check finds — on one worker and on a
+// pool of four, and clean updates still commit.
+func TestFailFast(t *testing.T) {
+	full := coretest.NewBankTool(t, 1)
+	stageTransfers(t, full, 100)
+	want, err := full.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Violations) == 0 {
+		t.Fatal("fixture staged no violations")
+	}
+
+	for _, workers := range []int{1, 4} {
+		opts := core.DefaultOptions()
+		opts.Workers = workers
+		opts.FailFast = true
+		tool := coretest.NewBankToolOpts(t, opts)
+		stageTransfers(t, tool, 100)
+		got, err := tool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Violations) != len(want.Violations) {
+			t.Fatalf("workers=%d: %d violated views, full check found %d", workers, len(got.Violations), len(want.Violations))
+		}
+		for i, v := range got.Violations {
+			if len(v.Rows) != 1 {
+				t.Fatalf("workers=%d: view %s returned %d rows under FailFast", workers, v.View, len(v.Rows))
+			}
+			if !reflect.DeepEqual(v.Rows[0], want.Violations[i].Rows[0]) {
+				t.Fatalf("workers=%d: view %s witness %v, full check's first row %v", workers, v.View, v.Rows[0], want.Violations[i].Rows[0])
+			}
+		}
+
+		// A clean update still commits under FailFast.
+		tool.DB().TruncateEvents()
+		if err := tool.DB().Insert("transfer", sqltypes.Row{
+			sqltypes.NewInt(9000), sqltypes.NewInt(100), sqltypes.NewInt(200), sqltypes.NewFloat(3.0)}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := tool.SafeCommit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Committed {
+			t.Fatalf("workers=%d: clean transfer rejected under FailFast: %v", workers, res.Violations)
+		}
+	}
+}
+
+// TestViewDurationsRecorded: every pool width records one duration per
+// evaluated view, in check order, with non-negative values.
+func TestViewDurationsRecorded(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		tool := coretest.NewBankTool(t, workers)
+		stageTransfers(t, tool, 10)
+		res, err := tool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.ViewDurations) != res.ViewsChecked {
+			t.Fatalf("workers=%d: %d durations for %d checked views", workers, len(res.ViewDurations), res.ViewsChecked)
+		}
+		for _, vd := range res.ViewDurations {
+			if vd.View == "" || vd.Duration < 0 {
+				t.Fatalf("workers=%d: bad view duration %+v", workers, vd)
+			}
+		}
+		tool.DB().TruncateEvents()
+	}
+}
+
 // TestParallelCheckDeterministic re-runs the same violating workload and
 // requires identical violation ordering every time: the merge is by
 // assertion order, not completion order.

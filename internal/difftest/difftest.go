@@ -11,8 +11,8 @@
 // strong end-to-end correctness oracle: any divergence is a bug in one of
 // them. On top of the incremental/baseline axis, the driver runs the same
 // stream through every execution mode of the incremental checker — serial,
-// parallel, parallel with intra-view splitting, fail-fast, and group
-// commit — and requires them to agree with each other bit-for-bit.
+// parallel, parallel fail-fast, fail-fast, and group commit — and requires
+// them to agree with each other bit-for-bit.
 //
 // Everything is driven deterministically from a byte stream (the fuzzing
 // input): schema shape, assertion templates, literals, row values, batch
@@ -229,17 +229,17 @@ func Run(data []byte) error {
 	base := core.Options{EDC: edc.DefaultOptions(), SkipEmptyEventViews: true}
 	parallel := base
 	parallel.Workers = 4
-	split := parallel
-	split.SplitThreshold = 1 // fixed 1ns threshold: split every view once costs are observed
 	failfast := base
 	failfast.FailFast = true
+	parallelFailfast := parallel
+	parallelFailfast.FailFast = true
 
 	modes := make([]*mode, 0, 4)
 	for _, m := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"serial", base}, {"parallel", parallel}, {"split", split}, {"failfast", failfast},
+		{"serial", base}, {"parallel", parallel}, {"parallel-failfast", parallelFailfast}, {"failfast", failfast},
 	} {
 		mm, err := newMode(m.name, m.opts)
 		if err != nil {
@@ -330,16 +330,17 @@ func Run(data []byte) error {
 				b, d, strings.Join(accepted, "\n"), fmtOps(ops))
 		}
 
-		// (2) parallel and split must match serial row-for-row.
-		for _, i := range []int{1, 2} {
-			if err := sameViolations(serialRes, results[i]); err != nil {
-				return fmt.Errorf("batch %d: serial vs %s: %w\nops: %s", b, modes[i].name, err, fmtOps(ops))
-			}
+		// (2) parallel must match serial row-for-row.
+		if err := sameViolations(serialRes, results[1]); err != nil {
+			return fmt.Errorf("batch %d: serial vs parallel: %w\nops: %s", b, err, fmtOps(ops))
 		}
 
-		// (3) fail-fast: same violated views, witness = serial's first row.
-		if err := failFastAgrees(serialRes, results[3]); err != nil {
-			return fmt.Errorf("batch %d: serial vs failfast: %w\nops: %s", b, err, fmtOps(ops))
+		// (3) fail-fast, at width 4 and 1: same violated views, witness =
+		// serial's first row.
+		for _, i := range []int{2, 3} {
+			if err := failFastAgrees(serialRes, results[i]); err != nil {
+				return fmt.Errorf("batch %d: serial vs %s: %w\nops: %s", b, modes[i].name, err, fmtOps(ops))
+			}
 		}
 
 		// (4) group commit agrees with serial on verdict and assertions.

@@ -18,8 +18,9 @@ func lcgBytes(seed, n int) []byte {
 }
 
 // TestDifferentialSweep runs a fixed battery of generated cases through the
-// full oracle: incremental (serial, parallel, split, fail-fast, group
-// commit) against the non-incremental baseline. Any disagreement fails.
+// full oracle: incremental (serial, parallel, parallel fail-fast,
+// fail-fast, group commit) against the non-incremental baseline. Any
+// disagreement fails.
 func TestDifferentialSweep(t *testing.T) {
 	for seed := 0; seed < 120; seed++ {
 		if err := Run(lcgBytes(seed, 96)); err != nil {

@@ -7,9 +7,10 @@ import (
 // FuzzDifferential is the native-fuzzing entry point for the differential
 // oracle: the input bytes deterministically drive schema, assertions and
 // update stream, and the property is full agreement between the baseline
-// checker and every incremental execution mode (serial, parallel, split,
-// fail-fast, group commit), including fail-fast witness determinism and
-// identical committed state across all five databases.
+// checker and every incremental execution mode (serial, parallel, parallel
+// fail-fast, fail-fast, group commit), including fail-fast witness
+// determinism at both widths and identical committed state across all five
+// databases.
 //
 // Run with:
 //

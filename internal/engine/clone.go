@@ -34,23 +34,6 @@ func (p *PreparedQuery) Clone() *PreparedQuery {
 	return n
 }
 
-// ClonePartition returns a private clone whose driving scan is permanently
-// restricted to the slot range r; probes, filters and subplans are
-// untouched, so the clone evaluates exactly the slice of the plan's output
-// owned by driving rows in r. The receiver must be partitionable per
-// DrivingScan (panics otherwise — an unrestricted clone would silently
-// duplicate output across partitions). The scheduler's workers prefer the
-// transient QueryPartitionInto over per-range clones; this is for callers
-// that want a standalone range-bound plan.
-func (p *PreparedQuery) ClonePartition(r storage.RowRange) *PreparedQuery {
-	if _, ok := p.DrivingScan(); !ok {
-		panic("engine: ClonePartition on non-partitionable plan " + p.name)
-	}
-	n := p.Clone()
-	n.branches[0].scanRange, n.branches[0].hasRange = r, true
-	return n
-}
-
 // cloner memoizes scope copies so the cloned exec tree reproduces the
 // original scope-chain sharing (subquery scopes point at their enclosing
 // query's scope, not at a fresh copy of it).
@@ -97,12 +80,6 @@ func (c *cloner) cloneExec(ex *exec) *exec {
 		probeOffs:     ex.probeOffs,
 		probeNullSafe: ex.probeNullSafe,
 		probeIdx:      append([]*storage.Index(nil), ex.probeIdx...),
-		// A permanent range restriction (ClonePartition) is part of the
-		// plan's meaning, not per-execution state: dropping it here would
-		// make a clone of a range-bound clone silently scan the whole
-		// table and duplicate output across partitions.
-		scanRange: ex.scanRange,
-		hasRange:  ex.hasRange,
 	}
 	n.probeVals = make([][]sqltypes.Value, len(ex.probeVals))
 	for k, pv := range ex.probeVals {

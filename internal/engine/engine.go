@@ -58,7 +58,7 @@ func (e *Engine) QuerySQL(src string) (*Result, error) {
 // Query evaluates a parsed SELECT: compile, then run — the executor stored
 // views use, minus the plan cache.
 func (e *Engine) Query(sel *sqlparser.Select) (*Result, error) {
-	p, err := e.prepare("", sel)
+	p, err := e.prepare("", sel, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -122,14 +122,6 @@ type exec struct {
 	// shared table without contending on scratch state.
 	keyScratch []byte
 
-	// scanRange / hasRange restrict the level-0 driving scan to one slot
-	// range of its table: the partitioned commit check's unit of work. Only
-	// meaningful on plans whose DrivingScan reports partitionable; set
-	// per-execution by QueryPartitionInto (or permanently by
-	// ClonePartition), never on a shared prototype plan.
-	scanRange storage.RowRange
-	hasRange  bool
-
 	// skipProject suppresses leaf projection (aggregate mode accumulates
 	// from the bound scope instead).
 	skipProject bool
@@ -221,10 +213,10 @@ func (ex *exec) subExec(q *sqlparser.Select) (*exec, error) {
 }
 
 // planSubqueries compiles the exec of every subquery nested directly in e,
-// rooted at this exec's scope (newExec covers each one's interior). The walk
-// stops at each subquery boundary, except that the operand of IN belongs to
-// this block.
-func (ex *exec) planSubqueries(e sqlparser.Expr) error {
+// rooted at this exec's scope (newExec covers each one's interior); chain is
+// the enclosing views, as for prepare. The walk stops at each subquery
+// boundary, except that the operand of IN belongs to this block.
+func (ex *exec) planSubqueries(e sqlparser.Expr, chain []string) error {
 	var werr error
 	sqlparser.WalkExpr(e, func(n sqlparser.Expr) bool {
 		if werr != nil {
@@ -236,14 +228,14 @@ func (ex *exec) planSubqueries(e sqlparser.Expr) error {
 			q = x.Query
 		case *sqlparser.InSubquery:
 			q = x.Query
-			werr = ex.planSubqueries(x.E)
+			werr = ex.planSubqueries(x.E, chain)
 		case *sqlparser.ScalarSubquery:
 			q = x.Query
 		default:
 			return true
 		}
 		for cur := q; cur != nil && werr == nil; cur = cur.Union {
-			sub, err := ex.eng.newExec(cur, ex.scope)
+			sub, err := ex.eng.newExec(cur, ex.scope, chain)
 			if err != nil {
 				werr = err
 				break
@@ -304,11 +296,12 @@ type probe struct {
 
 // newExec compiles one SELECT block and, recursively, every subquery in its
 // projections and WHERE clause: the returned tree executes without planning.
-func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
+// chain is the enclosing views, as for prepare.
+func (e *Engine) newExec(sel *sqlparser.Select, outer *scope, chain []string) (*exec, error) {
 	sc := &scope{parent: outer}
 	ex := &exec{eng: e, sel: sel, scope: sc}
 	for _, tr := range sel.From {
-		src, err := e.resolveSource(tr)
+		src, err := e.resolveSource(tr, chain)
 		if err != nil {
 			return nil, err
 		}
@@ -348,17 +341,17 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope) (*exec, error) {
 	}
 	ex.initLevels()
 	for _, it := range sel.Columns {
-		if err := ex.planSubqueries(it.Expr); err != nil {
+		if err := ex.planSubqueries(it.Expr, chain); err != nil {
 			return nil, err
 		}
 	}
-	if err := ex.planSubqueries(sel.Where); err != nil {
+	if err := ex.planSubqueries(sel.Where, chain); err != nil {
 		return nil, err
 	}
 	return ex, nil
 }
 
-func (e *Engine) resolveSource(tr sqlparser.TableRef) (*source, error) {
+func (e *Engine) resolveSource(tr sqlparser.TableRef, chain []string) (*source, error) {
 	name := strings.ToLower(tr.Table)
 	alias := strings.ToLower(tr.EffectiveAlias())
 	if t := e.db.Table(name); t != nil {
@@ -373,8 +366,11 @@ func (e *Engine) resolveSource(tr sqlparser.TableRef) (*source, error) {
 		// A view body is a closed query: it compiles on its own, with no
 		// outer scope, so it cannot capture the columns of whichever query
 		// happens to read it.
-		vp, err := e.prepare(name, v)
+		vp, err := e.prepare(name, v, chain)
 		if err != nil {
+			if _, cycle := err.(viewCycle); cycle {
+				return nil, err
+			}
 			return nil, fmt.Errorf("engine: evaluating view %s: %w", name, err)
 		}
 		cols := make([]string, len(vp.cols))
@@ -626,11 +622,7 @@ func (ex *exec) loop(k int) (bool, error) {
 		}
 		idx.ScanEqualScratch(&ex.keyScratch, vals, ex.probeNullSafe[k], lv.tryFn)
 	case src.table != nil:
-		if k == 0 && ex.hasRange {
-			src.table.ScanRange(ex.scanRange, lv.visitFn)
-		} else {
-			src.table.Scan(lv.visitFn)
-		}
+		src.table.Scan(lv.visitFn)
 	default:
 		// This execution's view output, produced on first use.
 		if !src.fresh {

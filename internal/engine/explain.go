@@ -9,7 +9,7 @@ import (
 )
 
 // ExplainPlan is the JSON-serializable description of one compiled view
-// plan: what the planner chose (driving scan, index probes, conjunct
+// plan: what the planner chose (join order, index probes, conjunct
 // placement) and how the plan-cache currently treats the view. Explain is
 // side-effect-free — it never populates the cache or moves the cache
 // counters, so explaining a view does not perturb the state it reports.
@@ -19,10 +19,6 @@ type ExplainPlan struct {
 	// Cached reports whether a valid compiled plan is resident in the
 	// engine's plan cache right now.
 	Cached bool `json:"cached"`
-	// Partitionable mirrors PreparedQuery.DrivingScan: a single-branch scan
-	// plan whose output can be split by driving-row ranges.
-	Partitionable bool   `json:"partitionable"`
-	DrivingScan   string `json:"driving_scan,omitempty"`
 	// Branches holds one entry per UNION branch.
 	Branches []ExplainBranch `json:"branches,omitempty"`
 }
@@ -79,7 +75,7 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 	if rp, ok := e.plans[name]; ok && rp.current() {
 		p, cached = rp, true
 	} else {
-		fresh, err := e.prepare(name, sel)
+		fresh, err := e.prepare(name, sel, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -89,10 +85,6 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 		View:   name,
 		SQL:    sqlparser.FormatSelect(sel),
 		Cached: cached,
-	}
-	if tbl, ok := p.DrivingScan(); ok {
-		out.Partitionable = true
-		out.DrivingScan = tbl.Name()
 	}
 	for i, ex := range p.branches {
 		out.Branches = append(out.Branches, explainExec(ex, p.dedupe[i], p.agg[i]))

@@ -180,21 +180,6 @@ func TestNullSafeProbeParity(t *testing.T) {
 			if got := sortedRows(clone.Rows); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Clone():\n got %v\nwant %v", got, want)
 			}
-			tab, ok := p.DrivingScan()
-			if !ok {
-				t.Fatal("anti-join over a scan of t is not partitionable")
-			}
-			var merged []sqltypes.Row
-			for _, r := range tab.Partitions(4) {
-				part, err := p.ClonePartition(r).Query()
-				if err != nil {
-					t.Fatal(err)
-				}
-				merged = append(merged, part.Rows...)
-			}
-			if got := sortedRows(merged); !reflect.DeepEqual(got, want) {
-				t.Fatalf("ClonePartition ranges:\n got %v\nwant %v", got, want)
-			}
 
 			eng.DisableIndexProbes = true
 			if src := innerSource(t, eng, "probed"); src.Access != "scan" || len(src.Filters) != 3 {

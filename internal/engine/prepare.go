@@ -2,12 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
-	"tintin/internal/storage"
 )
 
 // PreparedQuery is a query whose evaluation plan — scope resolution,
@@ -109,7 +109,7 @@ func (e *Engine) PrepareView(name string) (*PreparedQuery, error) {
 	if sel == nil {
 		return nil, fmt.Errorf("engine: no view %s", name)
 	}
-	p, err := e.prepare(name, sel)
+	p, err := e.prepare(name, sel, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,9 +138,23 @@ func (e *Engine) ForgetPlan(name string) {
 	}
 }
 
+// viewCycle is the error for a view that reads itself; its text is the
+// cycle, e.g. "va -> vb -> va". It already names every view on the path, so
+// the views enclosing it do not wrap it again.
+type viewCycle string
+
+func (c viewCycle) Error() string { return "engine: view cycle " + string(c) }
+
 // prepare compiles sel (a stored view's definition, or an ad-hoc query under
-// the name "") with no outer scope.
-func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, error) {
+// the name "") with no outer scope. chain lists the views whose compilation
+// encloses this one, outermost first: a view already on it is a cycle.
+func (e *Engine) prepare(name string, sel *sqlparser.Select, chain []string) (*PreparedQuery, error) {
+	if name != "" {
+		if i := slices.Index(chain, name); i >= 0 {
+			return nil, viewCycle(strings.Join(chain[i:], " -> ") + " -> " + name)
+		}
+		chain = append(chain[:len(chain):len(chain)], name)
+	}
 	p := &PreparedQuery{
 		eng:           e,
 		name:          name,
@@ -157,7 +171,7 @@ func (e *Engine) prepare(name string, sel *sqlparser.Select) (*PreparedQuery, er
 		}
 	}
 	for cur := sel; cur != nil; cur = cur.Union {
-		ex, err := e.newExec(cur, nil)
+		ex, err := e.newExec(cur, nil, chain)
 		if err != nil {
 			return nil, err
 		}
@@ -296,51 +310,6 @@ func (p *PreparedQuery) QueryLimitInto(limit int, res *Result) error {
 		}
 	}
 	return nil
-}
-
-// DrivingScan returns the table driving the plan's outer join loop when the
-// plan is partitionable: a single SELECT branch with neither DISTINCT nor
-// aggregate projection, whose level-0 FROM source is a base
-// table read by full scan (no level-0 index probes). For such a plan the
-// outer loop visits driving-table rows in slot order and every output row
-// is owned by exactly one driving row, so restricting the scan to a row
-// range yields a disjoint, contiguous slice of the plan's output:
-// concatenating the slices in range order reproduces the unrestricted
-// output bit for bit. Multi-branch, deduplicating and aggregate plans
-// cross-couple rows from different driving partitions and are not
-// splittable this way.
-func (p *PreparedQuery) DrivingScan() (*storage.Table, bool) {
-	if len(p.branches) != 1 || p.dedupe[0] || p.agg[0] {
-		return nil, false
-	}
-	ex := p.branches[0]
-	if len(ex.scope.srcs) == 0 {
-		return nil, false
-	}
-	src := ex.scope.srcs[0]
-	if src.table == nil || len(ex.probes[0]) > 0 {
-		return nil, false
-	}
-	return src.table, true
-}
-
-// QueryPartitionInto executes the plan with the driving scan restricted to
-// the slot range r, leaving every probe, filter and subplan untouched — one
-// partition subtask of a split commit check. The restriction lasts for this
-// execution only (panic-safe), so a worker's cached clone alternates freely
-// between partitioned and whole executions without re-cloning. The receiver
-// must be private to the caller (a worker clone, never the shared prototype)
-// and partitionable per DrivingScan; calling this on a non-partitionable
-// plan is a programming error and panics.
-func (p *PreparedQuery) QueryPartitionInto(r storage.RowRange, limit int, res *Result) error {
-	if _, ok := p.DrivingScan(); !ok {
-		panic(fmt.Sprintf("engine: QueryPartitionInto on non-partitionable plan %s", p.name))
-	}
-	ex := p.branches[0]
-	savedRange, savedHas := ex.scanRange, ex.hasRange
-	ex.scanRange, ex.hasRange = r, true
-	defer func() { ex.scanRange, ex.hasRange = savedRange, savedHas }()
-	return p.QueryLimitInto(limit, res)
 }
 
 // NonEmpty reports whether the prepared query yields any row, stopping at

@@ -279,6 +279,94 @@ func TestViewBodyIsClosed(t *testing.T) {
 	}
 }
 
+// TestViewCycleErrors: a view that reads itself — directly, through another
+// view, or from inside a subquery — is an ordinary error naming the cycle,
+// wherever the view is compiled: an ad-hoc query, the plan cache, EXPLAIN.
+func TestViewCycleErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		views [][2]string // name, body
+		cycle string
+	}{
+		{"self", [][2]string{{"va", `SELECT * FROM va`}}, "va -> va"},
+		{"two views", [][2]string{
+			{"va", `SELECT * FROM vb`},
+			{"vb", `SELECT * FROM va`},
+		}, "va -> vb -> va"},
+		{"through a subquery", [][2]string{
+			{"va", `SELECT o.o_orderkey FROM orders AS o WHERE EXISTS (SELECT * FROM vb)`},
+			{"vb", `SELECT * FROM va`},
+		}, "va -> vb -> va"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, eng := prepDB(t)
+			for _, v := range tc.views {
+				createView(t, db, v[0], v[1])
+			}
+			want := "engine: view cycle " + tc.cycle
+			_, err := eng.QuerySQL(`SELECT * FROM va`)
+			if err == nil || err.Error() != want {
+				t.Errorf("QuerySQL: err = %v, want %s", err, want)
+			}
+			_, err = eng.PrepareView("va")
+			if err == nil || err.Error() != want {
+				t.Errorf("PrepareView: err = %v, want %s", err, want)
+			}
+			_, err = eng.ExplainView("va")
+			if err == nil || err.Error() != want {
+				t.Errorf("ExplainView: err = %v, want %s", err, want)
+			}
+		})
+	}
+}
+
+// TestQueryViewReadsViewSource: a view whose outer loop reads another view
+// returns that view's rows, in its order.
+func TestQueryViewReadsViewSource(t *testing.T) {
+	db, eng := prepDB(t)
+	createView(t, db, "inner_v", `SELECT l.l_quantity FROM lineitem AS l`)
+	createView(t, db, "outer_v", `SELECT v.l_quantity FROM inner_v AS v`)
+	inner, err := eng.QueryView("inner_v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer, err := eng.QueryView("outer_v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(inner.Rows) == 0 || !reflect.DeepEqual(outer.Rows, inner.Rows) {
+		t.Fatalf("view over a view returned %v, the view it reads %v", outer.Rows, inner.Rows)
+	}
+}
+
+// TestQueryLimitInto: the row cap stops execution early and returns exactly
+// the first limit rows of the uncapped result.
+func TestQueryLimitInto(t *testing.T) {
+	db, eng := prepDB(t)
+	createView(t, db, "lim", `SELECT l.l_quantity FROM lineitem AS l`)
+	p, err := eng.PrepareView("lim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var whole Result
+	if err := p.QueryInto(&whole); err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{1, 2, len(whole.Rows), len(whole.Rows) + 5} {
+		var got Result
+		if err := p.QueryLimitInto(limit, &got); err != nil {
+			t.Fatal(err)
+		}
+		want := whole.Rows
+		if limit < len(want) {
+			want = want[:limit]
+		}
+		if !reflect.DeepEqual(got.Rows, want) {
+			t.Fatalf("limit %d: got %v want %v", limit, got.Rows, want)
+		}
+	}
+}
+
 // TestPreparedNonEmpty exercises the early-exit path of a cached plan.
 func TestPreparedNonEmpty(t *testing.T) {
 	db, eng := prepDB(t)

@@ -110,7 +110,7 @@ func (e *Engine) ExecStatement(st sqlparser.Statement) (*ExecResult, error) {
 // the evaluator of an expression with no free column references.
 func (e *Engine) closedExec(expr sqlparser.Expr) (*exec, error) {
 	ex := &exec{eng: e, scope: &scope{}}
-	return ex, ex.planSubqueries(expr)
+	return ex, ex.planSubqueries(expr, nil)
 }
 
 // EvalConst evaluates an expression with no free column references (literal
@@ -192,13 +192,13 @@ func (e *Engine) execDelete(del *sqlparser.Delete) (int, error) {
 	if alias == "" {
 		alias = del.Table
 	}
-	src, err := e.resolveSource(sqlparser.TableRef{Table: del.Table, Alias: alias})
+	src, err := e.resolveSource(sqlparser.TableRef{Table: del.Table, Alias: alias}, nil)
 	if err != nil {
 		return 0, err
 	}
 	sc := &scope{srcs: []*source{src}, tuple: make([]sqltypes.Row, 1)}
 	ex := &exec{eng: e, scope: sc}
-	if err := ex.planSubqueries(del.Where); err != nil {
+	if err := ex.planSubqueries(del.Where, nil); err != nil {
 		return 0, err
 	}
 	var evalErr error

@@ -470,10 +470,9 @@ func RunE4(cfg Config) (*Table, error) {
 // RunPerView measures the per-view check-time skew over the full
 // complexity-assertion set: one staged update, several repeated checks, and
 // a table of every evaluated view's mean duration and share of the total —
-// cmd/tintinbench's -perview flag. This is the observability face of the
-// intra-view splitter: the views at the top of this table are the ones the
-// cost model will cut into partition subtasks, and their share column says
-// what the per-view task granularity caps the parallel speedup at.
+// cmd/tintinbench's -perview flag. A view is the scheduler's unit of work,
+// so the top view's share column says what the parallel speedup is capped
+// at.
 //
 // The table is not derived from CheckResult.ViewDurations but from the
 // metrics registry: a snapshot delta over the timed reps of the same
@@ -545,7 +544,7 @@ func RunPerView(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("Per-view check durations — %dGB data, %dMB update, mean of %d checks", gb, mb, reps),
 		Headers: []string{"view", "mean", "share"},
 		Notes: []string{
-			"the top view bounds the per-view parallel speedup; views above the fair share are what the splitter partitions",
+			"a view is the unit of parallel work: the top view bounds the parallel speedup",
 			"sourced from the tintin_view_check_ns metrics (snapshot delta over the timed checks)",
 		},
 	}

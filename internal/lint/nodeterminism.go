@@ -12,11 +12,11 @@ import (
 	"golang.org/x/tools/go/types/typeutil"
 )
 
-// NoDeterminismAnalyzer guards the engine's merge-determinism guarantee:
-// splitting a view check into partitions and merging the partial results
-// must be bit-identical to the serial evaluation, and the differential
-// oracle compares engine output across five execution modes. That only
-// holds if result construction is a pure function of the snapshot — so
+// NoDeterminismAnalyzer guards the engine's determinism guarantee: a view
+// checked on any pool worker must return exactly what the serial check
+// returns, and the differential oracle compares engine output across five
+// execution modes. That only holds if result construction is a pure
+// function of the snapshot — so
 // inside internal/engine, wall-clock reads (time.Now/Since/Until),
 // math/rand, and ranging over a map (iteration order is randomized) are
 // banned. Order-independent map walks do exist (invalidating a cache);
@@ -25,7 +25,7 @@ var NoDeterminismAnalyzer = &analysis.Analyzer{
 	Name: "nodeterminism",
 	Doc: "no wall-clock, math/rand, or map-range iteration in internal/engine\n\n" +
 		"Engine results must be a deterministic function of the frozen\n" +
-		"snapshot: partition merges and the differential oracle both\n" +
+		"snapshot: the worker pool and the differential oracle both\n" +
 		"compare them bit-for-bit. Iterate sorted key slices instead of\n" +
 		"maps; measure time outside the engine.",
 	Requires: []*analysis.Analyzer{AllowAnalyzer, inspect.Analyzer},

@@ -12,7 +12,7 @@ import (
 
 // Attr is one span attribute: a key with either a string or an integer
 // value. Integer attrs exist so hot-path instrumentation (worker ids, row
-// counts, partition bounds) never formats — and therefore never allocates.
+// counts) never formats — and therefore never allocates.
 type Attr struct {
 	Key   string
 	str   string

@@ -96,16 +96,15 @@ func TestConcurrentSafeCommit(t *testing.T) {
 	}
 }
 
-// TestConcurrentPartitionedSafeCommit is the TestConcurrentSafeCommit
-// workload with intra-view splitting forced on every estimated view
-// (SplitThreshold 1ns): under -race this additionally exercises the
-// partition expansion, concurrent QueryPartitionInto over worker clones,
-// and the partition-order merge. Multi-op deltas widen the event tables so
-// the driving scans actually have rows to cut.
-func TestConcurrentPartitionedSafeCommit(t *testing.T) {
+// TestConcurrentFailFastSafeCommit is the TestConcurrentSafeCommit workload
+// on a 4-worker pool with FailFast: under -race it exercises row-limited
+// checks running concurrently on worker clones. Multi-op deltas put several
+// violating rows in one batch, so every rejection must carry exactly one
+// witness row per violated view.
+func TestConcurrentFailFastSafeCommit(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.Workers = 4
-	opts.SplitThreshold = 1
+	opts.FailFast = true
 	tool := coretest.NewBankToolOpts(t, opts)
 	committer := tool.NewCommitter()
 	seeded := tool.DB().MustTable("transfer").Len()
@@ -123,12 +122,12 @@ func TestConcurrentPartitionedSafeCommit(t *testing.T) {
 				amount := 2.0
 				dirty := i%3 == 2
 				if dirty {
-					amount = -1.0 // violates positiveAmount
+					amount = -1.0 // violates positiveAmount, twice per delta
 				}
 				d := sched.Delta{Ops: []sched.Op{
 					{Table: "transfer", Row: sqltypes.Row{iv(base), iv(100), iv(200), fv(amount)}},
 					{Table: "transfer", Row: sqltypes.Row{iv(base + 1), iv(200), iv(100), fv(3.0)}},
-					{Table: "transfer", Row: sqltypes.Row{iv(base + 2), iv(100), iv(200), fv(4.0)}},
+					{Table: "transfer", Row: sqltypes.Row{iv(base + 2), iv(100), iv(200), fv(amount)}},
 				}}
 				res, err := committer.Commit(d)
 				if err != nil {
@@ -137,6 +136,11 @@ func TestConcurrentPartitionedSafeCommit(t *testing.T) {
 				}
 				if res.Committed == dirty {
 					t.Errorf("session %d commit %d: dirty=%v but committed=%v", s, i, dirty, res.Committed)
+				}
+				for _, v := range res.Violations {
+					if len(v.Rows) != 1 {
+						t.Errorf("session %d commit %d: view %s returned %d rows under FailFast", s, i, v.View, len(v.Rows))
+					}
 				}
 				if res.Committed {
 					committed.Add(3)

@@ -167,72 +167,6 @@ func (t *Table) Scan(yield func(sqltypes.Row) bool) {
 	}
 }
 
-// RowRange is a half-open slot interval [Start, End) of a table: the unit
-// the parallel commit-check scheduler hands to one partition subtask. Slot
-// bounds — not row counts — make a range a stable handle: slots keep their
-// position for the lifetime of the table, so over a frozen (quiescent)
-// table a range always denotes the same rows.
-type RowRange struct {
-	Start, End int
-}
-
-// Partitions splits the table's live rows into at most k contiguous slot
-// ranges of near-equal live-row counts (every range within one row of the
-// others, tombstones distributed wherever they happen to sit). The ranges
-// are disjoint, cover every slot, and scanning them in order visits exactly
-// the rows Scan visits, in the same order — the property the partitioned
-// commit check's deterministic merge relies on. Fewer than k ranges are
-// returned when the table has fewer than k live rows. Read-only: safe on a
-// frozen table.
-func (t *Table) Partitions(k int) []RowRange {
-	if k > t.live {
-		k = t.live
-	}
-	if k <= 1 {
-		return []RowRange{{0, len(t.rows)}}
-	}
-	out := make([]RowRange, 0, k)
-	per, extra := t.live/k, t.live%k
-	target := per + 1 // the first `extra` ranges carry the remainder
-	if extra == 0 {
-		target = per
-	}
-	start, n := 0, 0
-	for slot := range t.rows {
-		if !t.alive[slot] {
-			continue
-		}
-		n++
-		if n == target && len(out) < k-1 {
-			out = append(out, RowRange{start, slot + 1})
-			start, n = slot+1, 0
-			if len(out) >= extra {
-				target = per
-			} else {
-				target = per + 1
-			}
-		}
-	}
-	return append(out, RowRange{start, len(t.rows)})
-}
-
-// ScanRange is Scan restricted to the slots of r: it yields every live row
-// whose slot lies in [r.Start, r.End), in slot order. Like Scan it is
-// read-only and safe for concurrent use over a quiescent table.
-func (t *Table) ScanRange(r RowRange, yield func(sqltypes.Row) bool) {
-	end := r.End
-	if end > len(t.rows) {
-		end = len(t.rows)
-	}
-	for slot := r.Start; slot < end; slot++ {
-		if t.alive[slot] {
-			if !yield(t.rows[slot]) {
-				return
-			}
-		}
-	}
-}
-
 // Rows returns a snapshot copy of all live rows.
 func (t *Table) Rows() []sqltypes.Row {
 	out := make([]sqltypes.Row, 0, t.live)
