@@ -64,6 +64,24 @@ type DB struct {
 	// guard does not extend to direct Table-method mutations — callers
 	// holding a *Table must not write during a fan-out.
 	frozen atomic.Bool
+
+	// validated is the generation at the last successful ValidateEvents;
+	// ApplyEvents revalidates only when the generation has moved since.
+	validated generation
+}
+
+// generation identifies the row state: schemaVersion, which only grows, and
+// the sum of every table's mutation counter, which only grows while
+// schemaVersion stands still. An equal generation proves no table has been
+// written since. (Zero is a database without tables: nothing to validate.)
+type generation struct{ schema, mutations uint64 }
+
+func (db *DB) generation() generation {
+	g := generation{schema: db.schemaVersion}
+	for _, t := range db.tables {
+		g.mutations += t.mutations
+	}
+	return g
 }
 
 // NewDB returns an empty database.
@@ -373,8 +391,10 @@ func (db *DB) NormalizeEvents() int {
 			}
 			return true
 		})
+		// Cancel only a matched pair: an insertion repeated more often than
+		// its deletion keeps the surplus copies.
 		for _, r := range dup {
-			if ins.DeleteRow(r) && del.DeleteRow(r) {
+			if del.DeleteRow(r) && ins.DeleteRow(r) {
 				cancelled++
 			}
 		}
@@ -382,50 +402,47 @@ func (db *DB) NormalizeEvents() int {
 	return cancelled
 }
 
-// validateEvents proves the replay cannot fail mid-apply, so ApplyEvents
-// is all-or-nothing: every pending insertion must satisfy the base schema,
-// and with a declared primary key its key must be either absent from the
-// base table, freed by a pending deletion, or not claimed twice within the
-// pending insertions. These are exactly Table.Insert's failure modes, so a
-// validated replay cannot error after mutation has begun.
-func (db *DB) validateEvents() error {
+// ValidateEvents proves, without applying anything, that replaying the
+// pending events cannot fail mid-apply, so ApplyEvents is all-or-nothing:
+// every pending insertion must satisfy the base schema, and with a declared
+// primary key its key must be either absent from the base table or freed by
+// a pending deletion, and not claimed twice within the pending insertions.
+// These are exactly Table.Insert's failure modes, so a validated replay
+// inserts without repeating them. Success stamps the current generation; the
+// WAL appends only validated batches, so the log never holds a record the
+// in-memory apply would then refuse.
+func (db *DB) ValidateEvents() error {
 	for _, name := range db.BaseTableNames() {
 		ins := db.tables[InsTable(name)]
 		if ins == nil || ins.Len() == 0 {
 			continue
 		}
 		base := db.tables[name]
-		var freed map[string]bool
-		pkOffs := base.Schema().PrimaryKeyOffsets()
+		del := db.tables[DelTable(name)]
+		var seen map[string]struct{}
 		if base.pkIndex != nil {
-			freed = map[string]bool{}
-			if del := db.tables[DelTable(name)]; del != nil && del.Len() > 0 {
-				del.Scan(func(r sqltypes.Row) bool {
-					if base.ContainsRow(r) {
-						freed[r.KeyOn(pkOffs)] = true
-					}
-					return true
-				})
-			}
+			seen = make(map[string]struct{}, ins.Len())
 		}
 		var verr error
-		seen := map[string]bool{}
 		ins.Scan(func(r sqltypes.Row) bool {
-			checked, err := base.Schema().CheckRow(r)
+			checked, err := base.schema.CheckRow(r)
 			if err != nil {
 				verr = fmt.Errorf("storage: applying events to %s: %w", name, err)
 				return false
 			}
-			if base.pkIndex == nil {
+			if seen == nil {
 				return true
 			}
-			k := checked.KeyOn(pkOffs)
-			if seen[k] {
+			kb := base.keyOn(checked, base.schema.pkOffs)
+			if _, dup := seen[string(kb)]; dup {
 				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s among pending insertions", name, checked)
 				return false
 			}
-			seen[k] = true
-			if _, exists := base.pkIndex[k]; exists && !freed[k] {
+			seen[string(kb)] = struct{}{}
+			// The key is free unless a base row holds it; under a primary
+			// key that row is unique, so it is freed exactly when a pending
+			// deletion is identical to it.
+			if slot, exists := base.pkIndex[string(kb)]; exists && (del == nil || !del.ContainsRow(base.rows[slot])) {
 				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
 				return false
 			}
@@ -435,26 +452,27 @@ func (db *DB) validateEvents() error {
 			return verr
 		}
 	}
+	db.validated = db.generation()
 	return nil
 }
 
 // ApplyEvents replays pending events onto the base tables (deletions first,
 // then insertions) and truncates the event tables — the commit step of
-// safeCommit. Capture is suspended during the replay, mirroring the paper's
-// "disable the triggers, apply, re-enable" sequence. The replay is
-// all-or-nothing: it is validated up front, and on error the base tables
-// and the pending events are both untouched.
+// safeCommit. The replay writes the base tables directly, never through the
+// capturing DB.Insert, which is the paper's "disable the triggers, apply,
+// re-enable" sequence. It is all-or-nothing: the batch is validated up front
+// (unless ValidateEvents already proved it and no table has been written
+// since), and on error the base tables and the pending events are both
+// untouched.
 func (db *DB) ApplyEvents() error {
 	if err := db.writable("ApplyEvents"); err != nil {
 		return err
 	}
-	if err := db.validateEvents(); err != nil {
-		return err
+	if db.validated != db.generation() {
+		if err := db.ValidateEvents(); err != nil {
+			return err
+		}
 	}
-	saved := db.capture
-	db.capture = false
-	defer func() { db.capture = saved }()
-
 	for _, name := range db.BaseTableNames() {
 		base := db.tables[name]
 		del := db.tables[DelTable(name)]
@@ -471,19 +489,12 @@ func (db *DB) ApplyEvents() error {
 		if ins == nil || ins.Len() == 0 {
 			continue
 		}
-		var err error
+		// Staged rows were CheckRow'd against the same column types on the
+		// way in, and validation proved the keys: insert without either.
 		ins.Scan(func(r sqltypes.Row) bool {
-			// validateEvents proved this cannot fail; keep the check as a
-			// backstop against validation drifting from Insert.
-			if e := base.Insert(r.Clone()); e != nil {
-				err = fmt.Errorf("storage: applying events to %s: %w", name, e)
-				return false
-			}
+			base.insertValidated(r.Clone())
 			return true
 		})
-		if err != nil {
-			return err
-		}
 	}
 	db.TruncateEvents()
 	return nil
@@ -549,10 +560,7 @@ func (db *DB) Clone() *DB {
 	for name, t := range db.tables {
 		nt := NewTable(t.Schema())
 		t.Scan(func(r sqltypes.Row) bool {
-			nt.insertRaw(r.Clone())
-			if nt.pkIndex != nil {
-				nt.pkIndex[r.KeyOn(nt.schema.PrimaryKeyOffsets())] = nt.lastSlot
-			}
+			nt.insertValidated(r.Clone())
 			return true
 		})
 		nd.tables[name] = nt

@@ -24,12 +24,6 @@ func (db *DB) HasPendingEvents() bool {
 	return len(withIns)+len(withDel) > 0
 }
 
-// ValidateEvents runs the pre-apply validation pass on the pending events
-// without applying them; a nil return proves a subsequent ApplyEvents on
-// this state cannot fail. The WAL appends only validated batches, so the
-// log never holds a record the in-memory apply would then refuse.
-func (db *DB) ValidateEvents() error { return db.validateEvents() }
-
 // EncodeEvents writes the pending event-table contents to w.
 func (db *DB) EncodeEvents(w io.Writer) error {
 	var out []wireEventTable

@@ -35,6 +35,7 @@ type Schema struct {
 	ForeignKeys []ForeignKey
 
 	colIndex map[string]int
+	pkOffs   []int // PrimaryKey as column offsets, computed once
 }
 
 // NewSchema builds a schema and validates column/key references.
@@ -69,6 +70,7 @@ func NewSchema(name string, cols []Column, pk []string, fks []ForeignKey) (*Sche
 		if _, ok := s.colIndex[k]; !ok {
 			return nil, fmt.Errorf("storage: table %s: primary key column %s not found", name, k)
 		}
+		s.pkOffs = append(s.pkOffs, s.colIndex[k])
 	}
 	for fi := range s.ForeignKeys {
 		fk := &s.ForeignKeys[fi]
@@ -107,18 +109,9 @@ func (s *Schema) ColumnNames() []string {
 	return out
 }
 
-// PrimaryKeyOffsets returns the column offsets of the primary key
-// (nil when no key is declared).
-func (s *Schema) PrimaryKeyOffsets() []int {
-	if len(s.PrimaryKey) == 0 {
-		return nil
-	}
-	out := make([]int, len(s.PrimaryKey))
-	for i, k := range s.PrimaryKey {
-		out[i] = s.colIndex[k]
-	}
-	return out
-}
+// PrimaryKeyOffsets returns the column offsets of the primary key (nil when
+// no key is declared). The slice is shared: callers must not modify it.
+func (s *Schema) PrimaryKeyOffsets() []int { return s.pkOffs }
 
 // CheckRow validates arity, kinds and NOT NULL constraints, coercing
 // numeric literals to the declared column type. It returns the

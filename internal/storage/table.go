@@ -13,12 +13,16 @@ import (
 // lists and are maintained eagerly on both insert and delete — lookups
 // never write, which is what makes concurrent reading sound.
 //
-// Concurrency: a Table holds no internal scratch state, so any number of
+// Writes encode keys into the table's scratch buffer and look maps up via the
+// non-allocating m[string(b)] form; Truncate clears maps in place, so an event
+// table keeps its map capacity from one commit to the next.
+//
+// Concurrency: the read path touches no table-owned scratch, so any number of
 // goroutines may read concurrently (Scan, Rows, Len, Index.ScanEqualScratch
 // with per-caller scratch) as long as nothing mutates the table — an immutable
 // snapshot view, which is exactly the state safeCommit's parallel check
 // phase runs in. Mutations (Insert, Delete*, Truncate, index construction)
-// require exclusive access.
+// and ContainsRow use the write scratch and require exclusive access.
 type Table struct {
 	schema *Schema
 
@@ -27,18 +31,19 @@ type Table struct {
 	free  []int
 	live  int
 
-	pkIndex  map[string]int    // primary key -> slot (only when PK declared)
-	indexes  map[string]*index // column-set key -> secondary index
-	lastSlot int               // slot used by the most recent insertRaw
+	pkIndex map[string]int    // primary key -> slot (only when PK declared)
+	indexes map[string]*index // column-set key -> secondary index
+	// mutations counts row writes (insertRaw, deleteSlot, Truncate); it only
+	// grows, so an unchanged count proves the rows are unchanged.
+	mutations uint64
 
 	// allCols is [0..len(columns)), precomputed for tuple-identity probes.
 	allCols []int
 	// idIx caches the tuple-identity index (all columns) once built.
 	idIx *index
-	// writeScratch is key-encoding scratch for the write path only
-	// (Insert/Delete/ContainsRow), which requires exclusive access anyway.
-	// The concurrent read path (Index.ScanEqualScratch) brings caller-owned
-	// scratch and never touches it.
+	// writeScratch is keyOn's scratch, for the write path only, which
+	// requires exclusive access anyway. The concurrent read path
+	// (Index.ScanEqualScratch) brings caller-owned scratch and never touches it.
 	writeScratch []byte
 }
 
@@ -103,8 +108,8 @@ func (t *Table) ensureIndexOffsets(offs []int) *index {
 	ix := &index{cols: append([]int(nil), offs...), slots: make(map[string][]int)}
 	for slot, r := range t.rows {
 		if t.alive[slot] {
-			k := r.KeyOn(ix.cols)
-			ix.slots[k] = append(ix.slots[k], slot)
+			kb := t.keyOn(r, ix.cols)
+			ix.slots[string(kb)] = append(ix.slots[string(kb)], slot)
 		}
 	}
 	t.indexes[key] = ix
@@ -125,17 +130,26 @@ func (t *Table) Insert(r sqltypes.Row) error {
 		return err
 	}
 	if t.pkIndex != nil {
-		k := r.KeyOn(t.schema.PrimaryKeyOffsets())
-		if _, dup := t.pkIndex[k]; dup {
+		if _, dup := t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))]; dup {
 			return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
 		}
-		defer func() { t.pkIndex[k] = t.lastSlot }()
 	}
-	t.insertRaw(r)
+	t.insertValidated(r)
 	return nil
 }
 
-func (t *Table) insertRaw(r sqltypes.Row) {
+// insertValidated stores a row already proven to satisfy the schema and not
+// to collide on the primary key: no CheckRow, no duplicate probe.
+func (t *Table) insertValidated(r sqltypes.Row) {
+	slot := t.insertRaw(r)
+	if t.pkIndex != nil {
+		t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))] = slot
+	}
+}
+
+// insertRaw stores r in a free slot, maintains the secondary indexes and
+// returns the slot.
+func (t *Table) insertRaw(r sqltypes.Row) int {
 	var slot int
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
@@ -148,11 +162,12 @@ func (t *Table) insertRaw(r sqltypes.Row) {
 		t.alive = append(t.alive, true)
 	}
 	t.live++
-	t.lastSlot = slot
+	t.mutations++
 	for _, ix := range t.indexes {
-		k := r.KeyOn(ix.cols)
-		ix.slots[k] = append(ix.slots[k], slot)
+		kb := t.keyOn(r, ix.cols) // only the assignment copies the key
+		ix.slots[string(kb)] = append(ix.slots[string(kb)], slot)
 	}
+	return slot
 }
 
 // Scan calls yield for every live row; returning false stops the scan.
@@ -265,13 +280,14 @@ func (t *Table) ContainsEqual(offs []int, vals []sqltypes.Value) bool {
 	return len(t.probeSlots(offs, vals)) > 0
 }
 
-// identityKey encodes the whole row into the write-path scratch for the
-// tuple-identity index (NULL encodes like any other value, so NULL matches
-// NULL, agreeing with IdenticalRows).
-func (t *Table) identityKey(r sqltypes.Row) []byte {
+// keyOn encodes r's projection onto cols into the write-path scratch. The
+// result aliases the scratch and is valid until the next keyOn. Over allCols
+// it is the tuple-identity key (NULL encodes like any other value, so NULL
+// matches NULL, agreeing with IdenticalRows).
+func (t *Table) keyOn(r sqltypes.Row, cols []int) []byte {
 	kb := t.writeScratch[:0]
-	for _, v := range r {
-		kb = v.EncodeKey(kb)
+	for _, c := range cols {
+		kb = r[c].EncodeKey(kb)
 	}
 	t.writeScratch = kb
 	return kb
@@ -292,7 +308,7 @@ func (t *Table) ContainsRow(r sqltypes.Row) bool {
 		return false
 	}
 	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.identityKey(r))] {
+	for _, s := range ix.slots[string(t.keyOn(r, t.allCols))] {
 		if sqltypes.IdenticalRows(t.rows[s], r) {
 			return true
 		}
@@ -322,7 +338,7 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 		return false
 	}
 	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.identityKey(r))] {
+	for _, s := range ix.slots[string(t.keyOn(r, t.allCols))] {
 		if sqltypes.IdenticalRows(t.rows[s], r) {
 			t.deleteSlot(s)
 			return true
@@ -337,15 +353,16 @@ func (t *Table) deleteSlot(slot int) {
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
+	t.mutations++
 	if t.pkIndex != nil {
-		delete(t.pkIndex, r.KeyOn(t.schema.PrimaryKeyOffsets()))
+		delete(t.pkIndex, string(t.keyOn(r, t.schema.pkOffs)))
 	}
 	// Maintain secondary indexes eagerly: a freed slot may be reused by a
 	// row with the same key, so stale bucket entries cannot be detected
 	// lazily.
 	for _, ix := range t.indexes {
-		k := r.KeyOn(ix.cols)
-		bucket := ix.slots[k]
+		kb := t.keyOn(r, ix.cols)
+		bucket := ix.slots[string(kb)]
 		for i, s := range bucket {
 			if s == slot {
 				bucket[i] = bucket[len(bucket)-1]
@@ -354,23 +371,24 @@ func (t *Table) deleteSlot(slot int) {
 			}
 		}
 		if len(bucket) == 0 {
-			delete(ix.slots, k)
+			delete(ix.slots, string(kb))
 		} else {
-			ix.slots[k] = bucket
+			ix.slots[string(kb)] = bucket
 		}
 	}
 }
 
-// Truncate removes all rows and resets indexes.
+// Truncate removes all rows. The primary-key and secondary-index maps are
+// cleared in place: they keep their capacity across commits (an event table
+// is truncated twice per commit), and Index handles stay valid.
 func (t *Table) Truncate() {
 	t.rows = t.rows[:0]
 	t.alive = t.alive[:0]
 	t.free = t.free[:0]
 	t.live = 0
-	if t.pkIndex != nil {
-		t.pkIndex = make(map[string]int)
-	}
+	t.mutations++
+	clear(t.pkIndex)
 	for _, ix := range t.indexes {
-		ix.slots = make(map[string][]int)
+		clear(ix.slots)
 	}
 }

@@ -1,0 +1,351 @@
+package storage
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+
+	"tintin/internal/sqltypes"
+)
+
+// netEffectDB builds t(a INT, b INT), with PRIMARY KEY (a) when pk is set,
+// seeds its base table and stages one batch into ins_t / del_t directly.
+// Deletions are distinct base rows (what capture produces); insertions repeat
+// rows on purpose, deleted rows among them.
+func netEffectDB(t *testing.T, pk bool, rng *rand.Rand) *DB {
+	t.Helper()
+	var key []string
+	if pk {
+		key = []string{"a"}
+	}
+	s, err := NewSchema("t", []Column{{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindInt}}, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB("d")
+	if _, err := db.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	var base []sqltypes.Row
+	for a := 0; a < 8; a++ {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		r := sqltypes.Row{ci(int64(a)), ci(int64(rng.Intn(2)))}
+		if err := db.Insert("t", r); err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, r)
+		if !pk && rng.Intn(3) == 0 { // a duplicate base row
+			if err := db.Insert("t", r.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.InstallEventTables(); err != nil {
+		t.Fatal(err)
+	}
+	var del []sqltypes.Row
+	for _, r := range base {
+		if rng.Intn(2) == 0 {
+			del = append(del, r)
+			if err := db.Insert(DelTable("t"), r.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for n := rng.Intn(7); n > 0; n-- {
+		r := sqltypes.Row{ci(int64(rng.Intn(10))), ci(int64(rng.Intn(2)))}
+		if len(del) > 0 && rng.Intn(2) == 0 {
+			r = del[rng.Intn(len(del))].Clone()
+		}
+		if err := db.Insert(InsTable("t"), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// appliedState applies db's pending events (normalizing first when asked)
+// and returns the base table's rows, sorted.
+func appliedState(db *DB, normalize bool) ([]string, error) {
+	if normalize {
+		db.NormalizeEvents()
+	}
+	if err := db.ApplyEvents(); err != nil {
+		return nil, err
+	}
+	var out []string
+	db.MustTable("t").Scan(func(r sqltypes.Row) bool {
+		out = append(out, r.String())
+		return true
+	})
+	sort.Strings(out)
+	return out, nil
+}
+
+// TestNormalizePreservesNetEffect: NormalizeEvents may only cancel an
+// insertion against a matching deletion, so the base state after
+// NormalizeEvents+ApplyEvents must equal the one after ApplyEvents alone —
+// the state the non-incremental baseline checks. An insertion staged more
+// often than its deletion keeps the surplus copies.
+func TestNormalizePreservesNetEffect(t *testing.T) {
+	// The minimal case: t(a) holds (1); ins_t = {(1),(1)}, del_t = {(1)}.
+	s, err := NewSchema("t", []Column{{Name: "a", Type: sqltypes.KindInt}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB("d")
+	if _, err := db.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("t", sqltypes.Row{ci(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InstallEventTables(); err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range []string{InsTable("t"), InsTable("t"), DelTable("t")} {
+		if err := db.Insert(table, sqltypes.Row{ci(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.NormalizeEvents(); n != 1 {
+		t.Errorf("cancelled = %d, want 1", n)
+	}
+	if ins, del := db.MustTable(InsTable("t")).Len(), db.MustTable(DelTable("t")).Len(); ins != 1 || del != 0 {
+		t.Fatalf("after normalizing: ins_t has %d rows, del_t %d; want 1 and 0", ins, del)
+	}
+
+	for _, pk := range []bool{false, true} {
+		for seed := int64(1); seed <= 300; seed++ {
+			db := netEffectDB(t, pk, rand.New(rand.NewSource(seed)))
+			want, wantErr := appliedState(db.Clone(), false)
+			got, gotErr := appliedState(db.Clone(), true)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("pk=%v seed %d: apply alone: %v; normalized: %v", pk, seed, wantErr, gotErr)
+			}
+			if !slices.Equal(want, got) {
+				t.Fatalf("pk=%v seed %d: apply alone leaves %v, normalized %v", pk, seed, want, got)
+			}
+		}
+	}
+}
+
+// newKeyedDB returns a database holding t(id INT PRIMARY KEY, v INT) with
+// rows (i, 10*i) for i in [0, n), event tables installed and capture on.
+func newKeyedDB(t *testing.T, n int) *DB {
+	t.Helper()
+	s, err := NewSchema("t", []Column{{Name: "id", Type: sqltypes.KindInt}, {Name: "v", Type: sqltypes.KindInt}}, []string{"id"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB("d")
+	if _, err := db.CreateTable(s); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := db.Insert("t", sqltypes.Row{ci(int64(i)), ci(int64(10 * i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.InstallEventTables(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.SetCapture(true); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestApplyRevalidatesAfterWrites: ValidateEvents' proof covers only the
+// state it saw. A write after it — a row staged straight through
+// Table.Insert, or a base row that takes a pending key — sends ApplyEvents
+// back to validation, which refuses the batch and leaves base and events
+// untouched.
+func TestApplyRevalidatesAfterWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(db *DB) error
+	}{
+		{"staged duplicate", func(db *DB) error { return db.MustTable(InsTable("t")).Insert(sqltypes.Row{ci(5), ci(51)}) }},
+		{"base takes the key", func(db *DB) error { return db.MustTable("t").Insert(sqltypes.Row{ci(5), ci(52)}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newKeyedDB(t, 1)
+			if err := db.Insert("t", sqltypes.Row{ci(5), ci(50)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.ValidateEvents(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(db); err != nil {
+				t.Fatal(err)
+			}
+			baseLen, insLen := db.MustTable("t").Len(), db.MustTable(InsTable("t")).Len()
+			if err := db.ApplyEvents(); err == nil {
+				t.Fatal("ApplyEvents trusted a validation that a later write invalidated")
+			}
+			if db.MustTable("t").Len() != baseLen || db.MustTable(InsTable("t")).Len() != insLen {
+				t.Fatal("the refused apply changed the base table or the pending events")
+			}
+		})
+	}
+}
+
+// allocsDuring reports the heap allocations f makes, on one P like
+// testing.AllocsPerRun so no other goroutine's allocations are counted.
+func allocsDuring(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// skipAllocGuard skips allocation guards under the race detector, whose
+// instrumentation allocates.
+func skipAllocGuard(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+}
+
+// warmTable returns w(id PRIMARY KEY, grp, v) holding n rows spread over 4
+// groups, plus the rows it holds. withGroups adds an index on grp (buckets
+// of n/4 slots); otherwise the tuple-identity index (one slot per bucket) is
+// built. Every key is at most 27 bytes.
+func warmTable(t *testing.T, n int, withGroups bool) (*Table, []sqltypes.Row) {
+	t.Helper()
+	s, err := NewSchema("w", []Column{
+		{Name: "id", Type: sqltypes.KindInt},
+		{Name: "grp", Type: sqltypes.KindInt},
+		{Name: "v", Type: sqltypes.KindInt},
+	}, []string{"id"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := NewTable(s)
+	if withGroups {
+		if err := tb.EnsureIndex("grp"); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		tb.identityIndex()
+	}
+	rows := make([]sqltypes.Row, n)
+	for i := range rows {
+		rows[i] = sqltypes.Row{ci(int64(i)), ci(int64(i % 4)), ci(int64(-i))}
+		if err := tb.Insert(rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb, rows
+}
+
+// TestTruncateAllocFree: Truncate clears every map in place.
+func TestTruncateAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	tb, rows := warmTable(t, 256, true)
+	tb.identityIndex()
+	for round := 0; round < 3; round++ {
+		if n := allocsDuring(tb.Truncate); n != 0 {
+			t.Fatalf("round %d: Truncate of a %d-row table allocated %d times", round, len(rows), n)
+		}
+		if tb.Len() != 0 || len(tb.pkIndex) != 0 {
+			t.Fatal("Truncate left rows or keys behind")
+		}
+		for _, r := range rows {
+			if err := tb.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestDeleteRowAllocFree: DeleteRow encodes its keys into the table's scratch
+// and probes and deletes map entries without copying a key. Two limits of
+// the compiler's no-copy string(b) apply, so this table avoids both: delete
+// copies a key longer than 32 bytes, and a bucket that keeps other slots is
+// written back by assignment, which copies its key.
+func TestDeleteRowAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	tb, rows := warmTable(t, 256, false)
+	deleteAll := func() {
+		for _, r := range rows[:128] {
+			if !tb.DeleteRow(r) {
+				panic("row not found")
+			}
+		}
+	}
+	deleteAll() // grows the free list once
+	for _, r := range rows[:128] {
+		if err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := allocsDuring(deleteAll); n != 0 {
+		t.Fatalf("128 DeleteRow calls allocated %d times", n)
+	}
+	if tb.Len() != 128 {
+		t.Fatalf("len = %d, want 128", tb.Len())
+	}
+}
+
+// TestInsertAllocs: an Insert into a warm table — free slots, buckets with
+// spare capacity — allocates exactly once per map it writes, for the key
+// copy a Go map assignment stores (even when the key is present), and
+// nothing else: no key buffer, no bucket growth, no slot growth.
+func TestInsertAllocs(t *testing.T) {
+	skipAllocGuard(t)
+	tb, rows := warmTable(t, 256, true)
+	tb.Delete(func(r sqltypes.Row) bool { return r[0].Int() < 64 })
+	n := allocsDuring(func() {
+		for _, r := range rows[:64] {
+			if err := tb.Insert(r); err != nil {
+				panic(err)
+			}
+		}
+	})
+	const maps = 2 // pkIndex and the grp index
+	if n != 64*maps {
+		t.Fatalf("64 warm inserts allocated %d times, want %d (one key copy per map written)", n, 64*maps)
+	}
+}
+
+// TestValidateEventsAllocs: validating a batch against a warm PK table
+// encodes keys into scratch and probes without allocating; what remains is
+// one key copy per pending insertion (the duplicate check among them) and a
+// constant.
+func TestValidateEventsAllocs(t *testing.T) {
+	skipAllocGuard(t)
+	db := newKeyedDB(t, 1000)
+	// 100 deletions whose keys are re-inserted, plus 100 fresh keys.
+	if _, err := db.DeleteWhere("t", func(r sqltypes.Row) bool { return r[0].Int() < 100 }); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		k := int64(i)
+		if i >= 100 {
+			k += 1000
+		}
+		if err := db.Insert("t", sqltypes.Row{ci(k), ci(-1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.ValidateEvents(); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	const pending, constant = 200, 8
+	var verr error
+	if n := allocsDuring(func() { verr = db.ValidateEvents() }); n > pending+constant {
+		t.Fatalf("ValidateEvents of %d pending insertions allocated %d times, want at most %d", pending, n, pending+constant)
+	}
+	if verr != nil {
+		t.Fatal(verr)
+	}
+}
