@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-parallel bench-obs bench-wal benchmark e1 loc
+.PHONY: check build test vet lint test-race fuzz bench bench-safecommit bench-obs benchmark e1 loc
 
 ## check: the tier-1 gate — vet, lint, build, and test everything.
 check: vet lint build test
@@ -49,7 +49,8 @@ fuzz:
 	$(GO) test ./internal/sqlparser -fuzz 'FuzzParseRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqltypes -fuzz 'FuzzEncodeKeyInjective$$' -fuzztime $(FUZZTIME)
 
-## bench: the full benchmark families (reduced scales; minutes).
+## bench: the three micro-benchmarks that guard commit-path invariants
+## (alloc count, metrics overhead, linearity in the update).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
@@ -58,25 +59,12 @@ bench:
 bench-safecommit:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommit$$' -benchmem .
 
-## bench-parallel: the parallel commit-check scaling curve (1/2/4/8
-## workers over the multi-assertion workload, one view per task), tracked
-## in BENCH_safecommit.json.
-bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitParallel' -benchmem .
-
 ## bench-obs: the observability overhead guard — the hot-path safeCommit
 ## benchmark uninstrumented vs with the metrics registry wired; must stay
 ## within noise and +0 allocs (tracked under "observability" in
 ## BENCH_safecommit.json).
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommit$$|BenchmarkSafeCommitMetrics$$' -benchmem -count 5 .
-
-## bench-wal: the durability cost of a commit — the full safeCommit+apply
-## cycle with the WAL off vs on under each fsync policy (off/interval/
-## always); the deltas are tracked under "durability" in
-## BENCH_safecommit.json.
-bench-wal:
-	$(GO) test -run '^$$' -bench 'BenchmarkSafeCommitWAL' -benchmem -count 3 .
 
 ## benchmark: the transaction benchmark BENCHMARK.json declares — five
 ## workloads, four end-to-end metrics each, then a layer-by-layer traced

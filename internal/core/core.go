@@ -61,27 +61,17 @@ type Options struct {
 	// a bounded ring readable via LastTrace / Tracer. Off by default; span
 	// storage is pooled, so steady-state tracing does not allocate.
 	Trace bool
-	// TraceRing caps the trace ring (0 = obs.DefaultTraceRing).
-	TraceRing int
 	// SlowTrace promotes any commit trace slower than this threshold to a
-	// structured JSON log line on SlowTraceWriter (0 = never promote).
+	// structured JSON log line on stderr (0 = never promote).
 	SlowTrace time.Duration
-	// SlowTraceWriter receives promoted slow traces (default os.Stderr).
-	SlowTraceWriter io.Writer
-	// ProfileLabels applies a pprof "view" label to scheduler task
-	// execution so CPU profiles attribute worker samples. Off by default:
-	// label application allocates.
-	ProfileLabels bool
 	// WALDir roots the durability subsystem: a write-ahead log of applied
 	// event batches plus snapshot checkpoints under this directory. Empty
 	// (the default) keeps the tool purely in-memory. Attach with
 	// OpenDurable (recover-or-initialize) or EnableDurability (fresh).
 	WALDir string
 	// Fsync is the WAL fsync policy (wal.SyncAlways, the zero value, by
-	// default); FsyncInterval bounds the loss window under
-	// wal.SyncInterval (0 = 100ms).
-	Fsync         wal.SyncPolicy
-	FsyncInterval time.Duration
+	// default); wal.SyncInterval fsyncs at most every 100ms.
+	Fsync wal.SyncPolicy
 	// CheckpointEvery snapshots and truncates the log after this many
 	// applied batches. 0 = every 256 batches; negative = only on Close or
 	// an explicit Checkpoint call.
@@ -152,7 +142,7 @@ type CommitResult struct {
 	NormalizeDuration time.Duration
 	// ViewDurations reports the observed evaluation time of every view this
 	// check evaluated, in check order. It feeds the per-view latency
-	// histograms and tintinbench's -perview skew table.
+	// histograms and bench/'s slowest-view rows (engine.view_top*).
 	ViewDurations []ViewDuration
 }
 
@@ -194,17 +184,13 @@ func New(db *storage.DB, opts Options) *Tool {
 		asserts: make(map[string]*Assertion),
 		pool:    sched.NewPool(opts.Workers),
 	}
-	t.pool.SetProfileLabels(opts.ProfileLabels)
 	if opts.Metrics != nil {
 		t.initMetrics(opts.Metrics)
 	}
 	if opts.Trace {
-		t.tracer = obs.NewTracer(opts.TraceRing)
+		t.tracer = obs.NewTracer(0)
 		t.tracer.SetEnabled(true)
 		t.tracer.SetSlowThreshold(opts.SlowTrace)
-		if opts.SlowTraceWriter != nil {
-			t.tracer.SetSlowWriter(opts.SlowTraceWriter)
-		}
 	}
 	t.eng.DisableIndexProbes = opts.DisableIndexProbes
 	t.eng.RegisterProcedure("safecommit", func() (*engine.ExecResult, error) {

@@ -39,10 +39,9 @@ func checkpointPeriod(opts Options) int {
 // metric pointers once — the append path must never do registry lookups.
 func storeOptions(opts Options) wal.Options {
 	o := wal.Options{
-		Sync:         opts.Fsync,
-		SyncInterval: opts.FsyncInterval,
-		Injector:     opts.FaultInjector,
-		Logger:       opts.Logger,
+		Sync:     opts.Fsync,
+		Injector: opts.FaultInjector,
+		Logger:   opts.Logger,
 	}
 	if reg := opts.Metrics; reg != nil {
 		o.Metrics = wal.Metrics{

@@ -71,8 +71,8 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 	}
 }
 
-// Name returns the view name the plan was prepared for; trace spans and
-// pprof labels use it to attribute work to views.
+// Name returns the view name the plan was prepared for; trace spans use it
+// to attribute work to views.
 func (p *PreparedQuery) Name() string { return p.name }
 
 // current reports whether the plan still matches what it was compiled

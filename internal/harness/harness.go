@@ -1,22 +1,21 @@
-// Package harness runs the paper's experiments (E1–E4 in DESIGN.md) and
-// formats their result tables: the E1 grid behind the headline numbers
-// (§1 ¶5, §4 ¶4), the E2 assertion-complexity sweep, the E3 trivial-
-// emptiness/demo experiment, and the E4 ablations of the semantic
-// optimizations.
+// Package harness runs the paper's experiments and formats their result
+// tables (README, "Running the experiments"):
+//
+//   - E1, the grid behind the headline numbers (§1 ¶5, §4 ¶4);
+//   - E2, the assertion-complexity sweep;
+//   - E3, the trivial-emptiness/demo experiment;
+//   - E4, the ablations of the semantic optimizations;
+//   - E5, the aggregate extension (§5's future work).
 package harness
 
 import (
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"tintin/internal/baseline"
 	"tintin/internal/core"
-	"tintin/internal/obs"
 	"tintin/internal/tpch"
-	"tintin/internal/wal"
 )
 
 // Config parameterizes the experiments.
@@ -36,48 +35,6 @@ type Config struct {
 	UpdateRowsPerMB int
 	// Seed makes data and workloads deterministic.
 	Seed int64
-	// Workers sets the parallel commit-check fan-out (0 or 1 = serial);
-	// see core.Options.Workers. Violation output is deterministic at any
-	// worker count, so tables are comparable across settings.
-	Workers int
-	// Metrics, when set, wires every experiment tool into this registry, so
-	// a bench run exposes the same commit-path metrics a production tool
-	// would (cmd/tintinbench -metrics). RunPerView requires a registry — it
-	// derives its table from the per-view histograms — and creates a private
-	// one when this is nil.
-	Metrics *obs.Registry
-	// Logger, when set, receives the lifecycle events of every experiment
-	// tool — WAL checkpoints, torn-tail truncations, committer shutdowns
-	// (cmd/tintinbench -log). Nil disables logging; the timed commit path
-	// never logs either way.
-	Logger *obs.Logger
-	// SlowTrace, when positive, enables commit tracing on every experiment
-	// tool and promotes traces slower than this threshold to a JSON line on
-	// stderr (cmd/tintinbench -trace-slow) — the way to see the span
-	// decomposition of exactly the grid cells that misbehave.
-	SlowTrace time.Duration
-	// WALDir, when set, runs every experiment tool with the durability
-	// subsystem enabled: each tool gets a fresh WAL directory under this
-	// path, and every committed batch pays the append (+ fsync, per Fsync)
-	// on the timed path (cmd/tintinbench -wal).
-	WALDir string
-	// Fsync is the WAL fsync policy when WALDir is set; the zero value is
-	// wal.SyncAlways, the durable default.
-	Fsync wal.SyncPolicy
-}
-
-// options builds the tool options for this config (the paper's defaults
-// plus the configured check fan-out).
-func (c Config) options() core.Options {
-	opts := core.DefaultOptions()
-	opts.Workers = c.Workers
-	opts.Metrics = c.Metrics
-	opts.Logger = c.Logger
-	if c.SlowTrace > 0 {
-		opts.Trace = true
-		opts.SlowTrace = c.SlowTrace
-	}
-	return opts
 }
 
 // DefaultConfig is the full grid used by cmd/tintinbench.
@@ -171,22 +128,11 @@ type cell struct {
 }
 
 // setup builds a database at the given scale with the tool installed and the
-// provided assertions compiled. With cfg.WALDir set, the tool is made
-// durable (fresh per-tool WAL directory) after installation, so commits in
-// the experiment carry the append/fsync cost and an initial checkpoint
-// exists before any timed work.
+// provided assertions compiled.
 func setup(cfg Config, gb int, opts core.Options, assertions []string) (*core.Tool, *tpch.Generator, error) {
 	db, gen, err := tpch.NewDatabase("tpc", cfg.scale(gb), cfg.Seed)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.WALDir != "" {
-		dir, err := os.MkdirTemp(cfg.WALDir, "tool-")
-		if err != nil {
-			return nil, nil, err
-		}
-		opts.WALDir = dir
-		opts.Fsync = cfg.Fsync
 	}
 	tool := core.New(db, opts)
 	if err := tool.Install(); err != nil {
@@ -199,11 +145,6 @@ func setup(cfg Config, gb int, opts core.Options, assertions []string) (*core.To
 	}
 	if err := gen.PrewarmIndexes(); err != nil {
 		return nil, nil, err
-	}
-	if cfg.WALDir != "" {
-		if err := tool.EnableDurability(); err != nil {
-			return nil, nil, err
-		}
 	}
 	return tool, gen, nil
 }
@@ -260,7 +201,7 @@ func RunE1(cfg Config) (*Table, error) {
 		},
 	}
 	for _, gb := range cfg.GBs {
-		tool, gen, err := setup(cfg, gb, cfg.options(), []string{tpch.AssertionAtLeastOneLineItem})
+		tool, gen, err := setup(cfg, gb, core.DefaultOptions(), []string{tpch.AssertionAtLeastOneLineItem})
 		if err != nil {
 			return nil, err
 		}
@@ -307,7 +248,7 @@ func RunE2(cfg Config) (*Table, error) {
 		},
 	}
 	for _, sql := range tpch.ComplexityAssertions() {
-		tool, gen, err := setup(cfg, gb, cfg.options(), []string{sql})
+		tool, gen, err := setup(cfg, gb, core.DefaultOptions(), []string{sql})
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +290,7 @@ func RunE3(cfg Config) (*Table, error) {
 		},
 	}
 	all := tpch.ComplexityAssertions()
-	tool, gen, err := setup(cfg, gb, cfg.options(), all)
+	tool, gen, err := setup(cfg, gb, core.DefaultOptions(), all)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +366,7 @@ func RunE4(cfg Config) (*Table, error) {
 		name string
 		opts core.Options
 	}
-	full := cfg.options()
+	full := core.DefaultOptions()
 	noFK := full
 	noFK.EDC.FKOptimization = false
 	noSub := full
@@ -467,103 +408,11 @@ func RunE4(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// RunPerView measures the per-view check-time skew over the full
-// complexity-assertion set: one staged update, several repeated checks, and
-// a table of every evaluated view's mean duration and share of the total —
-// cmd/tintinbench's -perview flag. A view is the scheduler's unit of work,
-// so the top view's share column says what the parallel speedup is capped
-// at.
-//
-// The table is not derived from CheckResult.ViewDurations but from the
-// metrics registry: a snapshot delta over the timed reps of the same
-// tintin_view_check_ns histograms that \stats and -metrics expose, so this
-// table and the live metrics can never disagree about what a check spent
-// where. The warm-up check runs before the first snapshot, so its one-off
-// costs stay out of the delta.
-func RunPerView(cfg Config) (*Table, error) {
-	const reps = 5
-	gb := cfg.GBs[len(cfg.GBs)-1]
-	mb := cfg.MBs[len(cfg.MBs)-1]
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	tool, gen, err := setup(cfg, gb, cfg.options(), tpch.ComplexityAssertions())
-	if err != nil {
-		return nil, err
-	}
-	u, err := cfg.cleanUpdate(gen, mb)
-	if err != nil {
-		return nil, err
-	}
-	if err := u.Stage(tool.DB()); err != nil {
-		return nil, err
-	}
-	defer tool.DB().TruncateEvents()
-	if _, err := tool.Check(); err != nil { // warm-up: see measure's comment
-		return nil, err
-	}
-	before := cfg.Metrics.Snapshot()
-	for r := 0; r < reps; r++ {
-		if _, err := tool.Check(); err != nil {
-			return nil, err
-		}
-	}
-	after := cfg.Metrics.Snapshot()
-
-	prefix := obs.Label("tintin_view_check_ns", "view", "")
-	type viewRow struct {
-		view string
-		sum  time.Duration
-		n    int64
-	}
-	var rows []viewRow
-	var total time.Duration
-	for name, hs := range after.Histograms {
-		if !strings.HasPrefix(name, prefix) {
-			continue
-		}
-		n, sum := hs.Count, hs.Sum
-		if b, ok := before.Histograms[name]; ok {
-			n -= b.Count
-			sum -= b.Sum
-		}
-		if n == 0 {
-			continue
-		}
-		rows = append(rows, viewRow{view: strings.TrimPrefix(name, prefix), sum: time.Duration(sum), n: n})
-		total += time.Duration(sum)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].sum != rows[j].sum {
-			return rows[i].sum > rows[j].sum
-		}
-		return rows[i].view < rows[j].view
-	})
-
-	t := &Table{
-		Title:   fmt.Sprintf("Per-view check durations — %dGB data, %dMB update, mean of %d checks", gb, mb, reps),
-		Headers: []string{"view", "mean", "share"},
-		Notes: []string{
-			"a view is the unit of parallel work: the top view bounds the parallel speedup",
-			"sourced from the tintin_view_check_ns metrics (snapshot delta over the timed checks)",
-		},
-	}
-	for _, r := range rows {
-		mean := r.sum / time.Duration(r.n)
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(r.sum) / float64(total)
-		}
-		t.Rows = append(t.Rows, []string{r.view, mean.String(), fmt.Sprintf("%.1f%%", share)})
-	}
-	return t, nil
-}
-
 // VerifyDetection cross-checks TINTIN against the baseline on a violating
 // update: both must flag it. Used by tests and the bench harness as a
 // correctness gate.
 func VerifyDetection(cfg Config) error {
-	tool, gen, err := setup(cfg, cfg.GBs[0], cfg.options(), []string{tpch.AssertionAtLeastOneLineItem})
+	tool, gen, err := setup(cfg, cfg.GBs[0], core.DefaultOptions(), []string{tpch.AssertionAtLeastOneLineItem})
 	if err != nil {
 		return err
 	}
@@ -605,11 +454,4 @@ func VerifyDetection(cfg Config) error {
 		return fmt.Errorf("harness: TINTIN found %d violating tuples, baseline %d", nT, nB)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

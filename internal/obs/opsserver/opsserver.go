@@ -3,8 +3,7 @@
 // what the tool already records — the metrics registry as a Prometheus
 // /metrics endpoint, the commit-trace ring as /debug/traces (JSON or
 // Chrome trace-event format for Perfetto), net/http/pprof under
-// /debug/pprof (CPU profiles carry the scheduler's view labels
-// when core.Options.ProfileLabels is on), expvar under /debug/vars, and
+// /debug/pprof, expvar under /debug/vars, and
 // the /healthz + /readyz probes a supervisor or load balancer expects,
 // with readiness gated on durable recovery completion.
 //

@@ -16,9 +16,7 @@
 package sched
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -69,8 +67,7 @@ type Pool struct {
 	next  atomic.Int64
 	wg    sync.WaitGroup
 
-	metrics    PoolMetrics
-	profLabels bool
+	metrics PoolMetrics
 }
 
 // PoolMetrics are the scheduler counters a pool maintains. Every field is
@@ -95,11 +92,6 @@ type PoolMetrics struct {
 // SetMetrics wires the pool's scheduler metrics. Call before RunSpan; the
 // zero value unwires.
 func (p *Pool) SetMetrics(m PoolMetrics) { p.metrics = m }
-
-// SetProfileLabels toggles a pprof "view" label on task execution, so CPU
-// profiles attribute worker samples to views. Off by default: label
-// application allocates, which traced hot paths must not.
-func (p *Pool) SetProfileLabels(on bool) { p.profLabels = on }
 
 type workerState struct {
 	clones map[*engine.PreparedQuery]*engine.PreparedQuery
@@ -227,13 +219,7 @@ func (p *Pool) runOne(st *workerState, w, i int) {
 		sp = p.spans[i]
 		sp.Begin()
 	}
-	if p.profLabels {
-		pprof.Do(context.Background(), pprof.Labels("view", t.Plan.Name()), func(context.Context) {
-			p.outs[i] = st.run(t)
-		})
-	} else {
-		p.outs[i] = st.run(t)
-	}
+	p.outs[i] = st.run(t)
 	p.metrics.BusyNS.Add(int64(p.outs[i].Duration))
 	sp.SetAttrInt("worker", int64(w))
 	sp.SetAttrInt("rows", int64(len(p.outs[i].Rows)))
