@@ -8,10 +8,10 @@ import (
 
 // Clone returns an independent copy of a compiled plan for use by one
 // worker of the parallel commit-check scheduler: the immutable plan shape
-// (AST, conjunct placement, probe offsets and NULL-safe masks, sources,
-// index handles) is shared, while every piece of per-execution state — scope
-// tuples, probe value buffers, key scratch, level visitors, IN-subquery
-// memos — is private to the clone. Two goroutines may then execute the
+// (AST, conjunct placement, probe offsets and NULL-safe masks, key-set
+// range bounds, sources, index handles) is shared, while every piece of
+// per-execution state — scope tuples, probe value buffers, key scratch, level
+// visitors, IN-subquery memos — is private to the clone. Two goroutines may then execute the
 // original and the clone (or two clones) concurrently over a quiescent
 // database.
 func (p *PreparedQuery) Clone() *PreparedQuery {
@@ -80,6 +80,7 @@ func (c *cloner) cloneExec(ex *exec) *exec {
 		probeOffs:     ex.probeOffs,
 		probeNullSafe: ex.probeNullSafe,
 		probeIdx:      append([]*storage.Index(nil), ex.probeIdx...),
+		ranges:        ex.ranges,
 	}
 	n.probeVals = make([][]sqltypes.Value, len(ex.probeVals))
 	for k, pv := range ex.probeVals {

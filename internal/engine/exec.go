@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tintin/internal/sqlparser"
@@ -94,6 +95,12 @@ type exec struct {
 	// probeIdx[k] caches the index handle for source k, resolved on first
 	// probe (or eagerly by PreparedQuery.EnsureIndexes).
 	probeIdx []*storage.Index
+	// ranges[k] is the key-set access path of a table source without
+	// equality probes: the bounds of one declared-INTEGER column that has
+	// both a lower and an upper bound. Its conjuncts also stay in filters[k],
+	// so the path only narrows the candidates; loop probes the index on
+	// probeOffs[k] once per key of the evaluated range (see scanKeySet).
+	ranges [][]rangeBound
 
 	// levels holds the join loop's per-source visitor state, built once at
 	// plan time so the hot loop never allocates closures (the per-level
@@ -294,6 +301,14 @@ type probe struct {
 	nullSafe bool
 }
 
+// rangeBound is one col op expr conjunct of a key-set range, with the column
+// on the left whichever way it was written.
+type rangeBound struct {
+	colIdx int
+	op     sqlparser.BinaryOp // OpLt, OpLe, OpGt or OpGe
+	expr   sqlparser.Expr     // bound before the column's source
+}
+
 // newExec compiles one SELECT block and, recursively, every subquery in its
 // projections and WHERE clause: the returned tree executes without planning.
 // chain is the enclosing views, as for prepare.
@@ -318,6 +333,7 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope, chain []string) (*
 	sc.tuple = make([]sqltypes.Row, len(sc.srcs))
 	ex.filters = make([][]sqlparser.Expr, len(sc.srcs))
 	ex.probes = make([][]probe, len(sc.srcs))
+	ex.ranges = make([][]rangeBound, len(sc.srcs))
 	for _, c := range sqlparser.Conjuncts(sel.Where) {
 		if err := ex.placeConjunct(c); err != nil {
 			return nil, err
@@ -329,8 +345,13 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope, chain []string) (*
 	ex.probeIdx = make([]*storage.Index, len(sc.srcs))
 	for k, ps := range ex.probes {
 		if len(ps) == 0 {
+			if ex.ranges[k] = keyRange(ex.ranges[k]); ex.ranges[k] != nil {
+				ex.probeOffs[k] = []int{ex.ranges[k][0].colIdx}
+				ex.probeVals[k] = make([]sqltypes.Value, 1)
+			}
 			continue
 		}
+		ex.ranges[k] = nil
 		ex.probeOffs[k] = make([]int, len(ps))
 		ex.probeNullSafe[k] = make([]bool, len(ps))
 		for i, p := range ps {
@@ -468,8 +489,73 @@ func (ex *exec) placeConjunct(c sqlparser.Expr) error {
 				}
 			}
 		}
+		b, ok, err := ex.rangeBoundOf(lvl, c)
+		if err != nil {
+			return err
+		}
+		if ok {
+			ex.ranges[lvl] = append(ex.ranges[lvl], b)
+		}
 	}
 	ex.filters[lvl] = append(ex.filters[lvl], c)
+	return nil
+}
+
+// rangeBoundOf recognises c as col op expr or expr op col, op one of < <= >
+// >=, where col is a declared-INTEGER column of table source lvl and expr is
+// bound before lvl.
+func (ex *exec) rangeBoundOf(lvl int, c sqlparser.Expr) (rangeBound, bool, error) {
+	t := ex.scope.srcs[lvl].table
+	b, ok := c.(*sqlparser.Binary)
+	if t == nil || !ok {
+		return rangeBound{}, false, nil
+	}
+	var mirrored sqlparser.BinaryOp // the operator with the operands swapped
+	switch b.Op {
+	case sqlparser.OpLt:
+		mirrored = sqlparser.OpGt
+	case sqlparser.OpLe:
+		mirrored = sqlparser.OpGe
+	case sqlparser.OpGt:
+		mirrored = sqlparser.OpLt
+	case sqlparser.OpGe:
+		mirrored = sqlparser.OpLe
+	default:
+		return rangeBound{}, false, nil
+	}
+	for _, cand := range [2]struct {
+		col, expr sqlparser.Expr
+		op        sqlparser.BinaryOp
+	}{{b.L, b.R, b.Op}, {b.R, b.L, mirrored}} {
+		p, ok, err := ex.tryProbe(lvl, cand.col, cand.expr)
+		if err != nil {
+			return rangeBound{}, false, err
+		}
+		if ok && t.Schema().Columns[p.colIdx].Type == sqltypes.KindInt {
+			return rangeBound{colIdx: p.colIdx, op: cand.op, expr: p.expr}, true, nil
+		}
+	}
+	return rangeBound{}, false, nil
+}
+
+// keyRange keeps, of one level's range bounds, those on the first column
+// that has both a lower and an upper bound, or nil: one column per level is
+// enough.
+func keyRange(bounds []rangeBound) []rangeBound {
+	for _, first := range bounds {
+		var kept []rangeBound
+		lower, upper := false, false
+		for _, b := range bounds {
+			if b.colIdx == first.colIdx {
+				kept = append(kept, b)
+				lower = lower || b.op == sqlparser.OpGt || b.op == sqlparser.OpGe
+				upper = upper || b.op == sqlparser.OpLt || b.op == sqlparser.OpLe
+			}
+		}
+		if lower && upper {
+			return kept
+		}
+	}
 	return nil
 }
 
@@ -610,17 +696,16 @@ func (ex *exec) loop(k int) (bool, error) {
 	}
 
 	switch {
-	case src.table != nil && len(vals) > 0:
-		idx := ex.probeIdx[k]
-		if idx == nil {
-			var err error
-			idx, err = src.table.IndexOn(ex.probeOffs[k])
-			if err != nil {
-				return false, err
-			}
-			ex.probeIdx[k] = idx
+	case src.table != nil && len(ex.probes[k]) > 0:
+		idx, err := ex.index(k)
+		if err != nil {
+			return false, err
 		}
 		idx.ScanEqualScratch(&ex.keyScratch, vals, ex.probeNullSafe[k], lv.tryFn)
+	case ex.ranges[k] != nil:
+		if err := ex.scanKeySet(k); err != nil {
+			return false, err
+		}
 	case src.table != nil:
 		src.table.Scan(lv.visitFn)
 	default:
@@ -642,6 +727,89 @@ func (ex *exec) loop(k int) (bool, error) {
 		return false, lv.err
 	}
 	return lv.cont, nil
+}
+
+// index returns the handle on source k's probe index, resolving it on first
+// use.
+func (ex *exec) index(k int) (*storage.Index, error) {
+	if idx := ex.probeIdx[k]; idx != nil {
+		return idx, nil
+	}
+	idx, err := ex.scope.srcs[k].table.IndexOn(ex.probeOffs[k])
+	if err != nil {
+		return nil, err
+	}
+	ex.probeIdx[k] = idx
+	return idx, nil
+}
+
+// scanKeySet visits level k's candidates through its key-set access path:
+// one index probe per integer of the evaluated range, reusing the level's
+// probe buffer and the exec's key scratch, so it allocates nothing. The
+// level scans instead when a bound is NULL or not an INTEGER, or when the
+// range is wider than the index has keys (probing would then cost more than
+// the scan).
+func (ex *exec) scanKeySet(k int) error {
+	lv := &ex.levels[k]
+	lo, hi, ok, err := ex.keyBounds(k)
+	if err != nil || ok && lo > hi { // an empty range holds no row
+		return err
+	}
+	if ok {
+		idx, err := ex.index(k)
+		if err != nil {
+			return err
+		}
+		// hi-lo taken in uint64 is exact for any lo <= hi, MinInt64 to
+		// MaxInt64 included; the range holds that plus one keys.
+		if uint64(hi)-uint64(lo) < uint64(idx.Keys()) {
+			vals := ex.probeVals[k]
+			for key := lo; ; key++ {
+				vals[0] = sqltypes.NewInt(key)
+				idx.ScanEqualScratch(&ex.keyScratch, vals, nil, lv.tryFn)
+				if !lv.cont || lv.err != nil || key == hi {
+					return nil
+				}
+			}
+		}
+	}
+	ex.scope.srcs[k].table.Scan(lv.visitFn)
+	return nil
+}
+
+// keyBounds evaluates level k's range bounds into the closed interval
+// [lo, hi] of keys a matching row can hold; lo > hi when no key can. ok is
+// false when a bound is NULL or not an INTEGER.
+func (ex *exec) keyBounds(k int) (lo, hi int64, ok bool, err error) {
+	lo, hi, ok = math.MinInt64, math.MaxInt64, true
+	empty := false
+	for _, b := range ex.ranges[k] {
+		v, err := ex.evalValue(b.expr)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		if v.Kind() != sqltypes.KindInt {
+			ok = false
+			continue
+		}
+		n := v.Int()
+		switch b.op {
+		case sqlparser.OpGe:
+			lo = max(lo, n)
+		case sqlparser.OpGt:
+			empty = empty || n == math.MaxInt64
+			lo = max(lo, n+1)
+		case sqlparser.OpLe:
+			hi = min(hi, n)
+		case sqlparser.OpLt:
+			empty = empty || n == math.MinInt64
+			hi = min(hi, n-1)
+		}
+	}
+	if empty {
+		return 1, 0, ok, nil
+	}
+	return lo, hi, ok, nil
 }
 
 func (ex *exec) project() (sqltypes.Row, error) {

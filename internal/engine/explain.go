@@ -39,8 +39,12 @@ type ExplainBranch struct {
 type ExplainSource struct {
 	Table string `json:"table"`
 	Alias string `json:"alias,omitempty"`
-	// Access is "scan" (full table scan) or "probe" (hash-index lookup on
-	// ProbeColumns using the values of ProbeExprs).
+	// Access is "scan" (full table scan), "probe" (hash-index lookup on
+	// ProbeColumns using the values of ProbeExprs) or "range" (one lookup
+	// per key of a bounded INTEGER range on the single ProbeColumns entry;
+	// ProbeExprs holds its bounds as "op expr", e.g. ">= 10", and the level
+	// scans when a bound is not an INTEGER or the range is wider than the
+	// index has keys).
 	Access       string   `json:"access"`
 	ProbeColumns []string `json:"probe_columns,omitempty"`
 	ProbeExprs   []string `json:"probe_exprs,omitempty"`
@@ -112,6 +116,13 @@ func explainExec(ex *exec, distinct, aggregate bool) ExplainBranch {
 			}
 			if slices.Contains(ex.probeNullSafe[k], true) {
 				s.ProbeNullSafe = ex.probeNullSafe[k]
+			}
+		}
+		if len(ex.ranges) > k && ex.ranges[k] != nil {
+			s.Access = "range"
+			s.ProbeColumns = []string{src.cols[ex.ranges[k][0].colIdx]}
+			for _, b := range ex.ranges[k] {
+				s.ProbeExprs = append(s.ProbeExprs, b.op.String()+" "+sqlparser.FormatExpr(b.expr))
 			}
 		}
 		if len(ex.filters) > k {

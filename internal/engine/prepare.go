@@ -223,21 +223,19 @@ func (p *PreparedQuery) EnsureIndexes() error {
 }
 
 func (ex *exec) ensureProbeIndexes() error {
-	for k, ps := range ex.probes {
+	for k, offs := range ex.probeOffs {
 		src := ex.scope.srcs[k]
 		if src.view != nil {
 			if err := src.view.EnsureIndexes(); err != nil {
 				return err
 			}
 		}
-		if len(ps) == 0 || src.table == nil || ex.probeIdx[k] != nil {
+		if len(offs) == 0 || src.table == nil {
 			continue
 		}
-		idx, err := src.table.IndexOn(ex.probeOffs[k])
-		if err != nil {
+		if _, err := ex.index(k); err != nil {
 			return err
 		}
-		ex.probeIdx[k] = idx
 	}
 	//tintin:allow nodeterminism per-sub-plan index builds are independent; order only picks which error surfaces first
 	for _, sub := range ex.subs {

@@ -180,42 +180,31 @@ func (e *Engine) execInsert(ins *sqlparser.Insert) (int, error) {
 	return n, nil
 }
 
+// execDelete plans DELETE FROM t [AS a] WHERE c as SELECT * FROM t [AS a]
+// WHERE c, so its conjuncts get the probes, key-set ranges and prefilters any
+// query gets. Every matching row is collected before any is deleted: the
+// WHERE clause, subqueries included, reads the state before the statement,
+// and an evaluation error deletes nothing.
 func (e *Engine) execDelete(del *sqlparser.Delete) (int, error) {
-	t := e.db.Table(del.Table)
-	if t == nil {
+	if e.db.Table(del.Table) == nil {
 		return 0, fmt.Errorf("engine: no table %s", del.Table)
 	}
-	if del.Where == nil {
-		return e.db.DeleteWhere(del.Table, func(sqltypes.Row) bool { return true })
+	sel := &sqlparser.Select{
+		Star:  true,
+		From:  []sqlparser.TableRef{{Table: del.Table, Alias: del.Alias}},
+		Where: del.Where,
 	}
-	alias := del.Alias
-	if alias == "" {
-		alias = del.Table
-	}
-	src, err := e.resolveSource(sqlparser.TableRef{Table: del.Table, Alias: alias}, nil)
+	ex, err := e.newExec(sel, nil, nil)
 	if err != nil {
 		return 0, err
 	}
-	sc := &scope{srcs: []*source{src}, tuple: make([]sqltypes.Row, 1)}
-	ex := &exec{eng: e, scope: sc}
-	if err := ex.planSubqueries(del.Where, nil); err != nil {
+	var matched []sqltypes.Row
+	ex.skipProject = true // the sink reads the bound row: nothing is copied
+	if err := ex.run(func(sqltypes.Row) (bool, error) {
+		matched = append(matched, ex.scope.tuple[0])
+		return true, nil
+	}); err != nil {
 		return 0, err
 	}
-	var evalErr error
-	n, err := e.db.DeleteWhere(del.Table, func(r sqltypes.Row) bool {
-		if evalErr != nil {
-			return false
-		}
-		sc.tuple[0] = r
-		tr, err := ex.evalBool(del.Where)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return tr == truthTrue
-	})
-	if evalErr != nil {
-		return n, evalErr
-	}
-	return n, err
+	return e.db.DeleteRows(del.Table, matched)
 }

@@ -178,6 +178,9 @@ func TestFreezeBlocksWrites(t *testing.T) {
 	if _, err := db.DeleteWhere("t", func(sqltypes.Row) bool { return true }); err == nil {
 		t.Fatal("DeleteWhere succeeded on frozen db")
 	}
+	if _, err := db.DeleteRows("t", nil); err == nil {
+		t.Fatal("DeleteRows succeeded on frozen db")
+	}
 	if err := db.ApplyEvents(); err == nil {
 		t.Fatal("ApplyEvents succeeded on frozen db")
 	}

@@ -56,7 +56,7 @@ type DB struct {
 	schemaVersion uint64
 
 	// frozen marks the database as an immutable snapshot view: while set,
-	// the DB-level write paths (Insert, DeleteWhere, ApplyEvents,
+	// the DB-level write paths (Insert, DeleteWhere, DeleteRows, ApplyEvents,
 	// TruncateEvents, NormalizeEvents) fail loudly. The parallel
 	// commit-check scheduler freezes the database for the duration of a
 	// fan-out so a stray write through those paths (a bug, by
@@ -277,7 +277,7 @@ func (db *DB) SetCapture(on bool) error {
 func (db *DB) CaptureEnabled() bool { return db.capture }
 
 // Freeze marks the database as an immutable snapshot view until Thaw:
-// Insert, DeleteWhere and ApplyEvents fail while frozen, and the
+// Insert, DeleteWhere, DeleteRows and ApplyEvents fail while frozen, and the
 // void-returning mutators (TruncateEvents, NormalizeEvents) panic — a
 // write during an in-flight parallel check is a programming error by
 // construction, and failing loudly beats silently racing the readers.
@@ -329,33 +329,73 @@ func (db *DB) Insert(name string, r sqltypes.Row) error {
 // matching rows are copied into del_name instead and the base table is left
 // untouched. Returns the number of affected rows.
 func (db *DB) DeleteWhere(name string, match func(sqltypes.Row) bool) (int, error) {
-	if err := db.writable("DeleteWhere"); err != nil {
+	t, del, err := db.deleteTarget("DeleteWhere", name)
+	switch {
+	case err != nil:
 		return 0, err
+	case del == nil:
+		return t.Delete(match), nil
+	}
+	n := 0
+	t.Scan(func(r sqltypes.Row) bool {
+		if match(r) {
+			if err = stageDelete(del, r); err != nil {
+				return false
+			}
+			n++
+		}
+		return true
+	})
+	return n, err
+}
+
+// DeleteRows removes rows from table name, where each row is one the table
+// yielded (Scan, an index probe) with no write to the table since; under
+// capture they are copied into del_name instead, as DeleteWhere does, and the
+// base table is left untouched. It builds no index the table does not already
+// have; its cost is linear in len(rows) unless it must delete from a table
+// with neither a primary key nor an index, which it sweeps once. Returns the
+// number of affected rows.
+func (db *DB) DeleteRows(name string, rows []sqltypes.Row) (int, error) {
+	t, del, err := db.deleteTarget("DeleteRows", name)
+	switch {
+	case err != nil:
+		return 0, err
+	case del == nil:
+		return t.removeRows(rows), nil
+	}
+	for _, r := range rows {
+		if err := stageDelete(del, r); err != nil {
+			return 0, err
+		}
+	}
+	return len(rows), nil
+}
+
+// deleteTarget resolves the table a delete from name removes rows from and,
+// under capture of a base table, the del_ table they are staged in instead
+// (nil otherwise).
+func (db *DB) deleteTarget(op, name string) (t, del *Table, err error) {
+	if err := db.writable(op); err != nil {
+		return nil, nil, err
 	}
 	name = strings.ToLower(name)
-	t := db.tables[name]
-	if t == nil {
-		return 0, fmt.Errorf("storage: no table %s", name)
+	if t = db.tables[name]; t == nil {
+		return nil, nil, fmt.Errorf("storage: no table %s", name)
 	}
 	if _, _, isEvt := IsEventTable(name); db.capture && !isEvt {
-		del := db.tables[DelTable(name)]
-		n := 0
-		var err error
-		t.Scan(func(r sqltypes.Row) bool {
-			if match(r) {
-				if !del.ContainsRow(r) { // idempotent capture
-					if e := del.Insert(r.Clone()); e != nil {
-						err = e
-						return false
-					}
-				}
-				n++
-			}
-			return true
-		})
-		return n, err
+		del = db.tables[DelTable(name)]
 	}
-	return t.Delete(match), nil
+	return t, del, nil
+}
+
+// stageDelete copies r into del unless an identical row is staged already:
+// capture is idempotent.
+func stageDelete(del *Table, r sqltypes.Row) error {
+	if del.ContainsRow(r) {
+		return nil
+	}
+	return del.Insert(r.Clone())
 }
 
 // PendingEvents reports the base tables that currently have pending

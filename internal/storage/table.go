@@ -275,6 +275,10 @@ func (x *Index) ScanEqualScratch(scratch *[]byte, vals []sqltypes.Value, nullSaf
 	}
 }
 
+// Keys returns the number of distinct keys the index holds. Like
+// ScanEqualScratch it is read-only.
+func (x *Index) Keys() int { return len(x.ix.slots) }
+
 // ContainsEqual reports whether any live row matches vals at offs.
 func (t *Table) ContainsEqual(offs []int, vals []sqltypes.Value) bool {
 	return len(t.probeSlots(offs, vals)) > 0
@@ -345,6 +349,66 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 		}
 	}
 	return false
+}
+
+// removeRows deletes rows the table yielded since its last write, each from
+// the slot holding that very row (its backing array, not an identical copy),
+// so a bag's duplicates each lose exactly the copy that was read. A row is
+// found through the primary key or the existing index with the smallest
+// buckets; a table with neither is swept once. Nothing is built. It returns
+// the number of rows removed.
+func (t *Table) removeRows(rows []sqltypes.Row) int {
+	var ix *index
+	if t.pkIndex == nil {
+		if ix = t.narrowestIndex(); ix == nil {
+			held := make(map[*sqltypes.Value]bool, len(rows))
+			for _, r := range rows {
+				if len(r) > 0 {
+					held[&r[0]] = true
+				}
+			}
+			return t.Delete(func(r sqltypes.Row) bool { return held[&r[0]] })
+		}
+	}
+	n := 0
+	for _, r := range rows {
+		if slot, ok := t.slotOf(r, ix); ok {
+			t.deleteSlot(slot)
+			n++
+		}
+	}
+	return n
+}
+
+// slotOf locates the live slot holding r itself through the primary key, or
+// else through ix.
+func (t *Table) slotOf(r sqltypes.Row, ix *index) (int, bool) {
+	if len(r) != len(t.schema.Columns) {
+		return 0, false
+	}
+	holds := func(slot int) bool { return &t.rows[slot][0] == &r[0] }
+	if t.pkIndex != nil {
+		slot, ok := t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))]
+		return slot, ok && holds(slot)
+	}
+	for _, slot := range ix.slots[string(t.keyOn(r, ix.cols))] {
+		if holds(slot) {
+			return slot, true
+		}
+	}
+	return 0, false
+}
+
+// narrowestIndex returns the secondary index with the most distinct keys, or
+// nil when the table has none.
+func (t *Table) narrowestIndex() *index {
+	var best *index
+	for _, ix := range t.indexes {
+		if best == nil || len(ix.slots) > len(best.slots) {
+			best = ix
+		}
+	}
+	return best
 }
 
 func (t *Table) deleteSlot(slot int) {

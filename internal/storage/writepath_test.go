@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -190,6 +191,80 @@ func TestApplyRevalidatesAfterWrites(t *testing.T) {
 			}
 			if db.MustTable("t").Len() != baseLen || db.MustTable(InsTable("t")).Len() != insLen {
 				t.Fatal("the refused apply changed the base table or the pending events")
+			}
+		})
+	}
+}
+
+// TestDeleteRowsRemovesWhatWasRead: without capture, DeleteRows removes the
+// very rows the table yielded — found through the primary key, through an
+// existing secondary index, or by one sweep of a table with neither — and
+// builds no index. Of a bag's duplicates only the copy passed in goes, and
+// an identical row the table did not yield is not deleted.
+func TestDeleteRowsRemovesWhatWasRead(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		pk, index bool
+		want      string
+	}{
+		{"primary key", true, false, "[(0, 0) (2, 0) (3, 1) (5, 1)]"},
+		{"secondary index", false, true, "[(0, 0) (1, 1) (2, 0) (3, 1) (5, 1)]"},
+		{"no index", false, false, "[(0, 0) (1, 1) (2, 0) (3, 1) (5, 1)]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var key []string
+			if tc.pk {
+				key = []string{"a"}
+			}
+			s, err := NewSchema("t", []Column{{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindInt}}, key, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := NewDB("d")
+			tb, err := db.CreateTable(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a < 6; a++ {
+				if err := tb.Insert(sqltypes.Row{ci(int64(a)), ci(int64(a % 2))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !tc.pk { // a second (1, 1)
+				if err := tb.Insert(sqltypes.Row{ci(1), ci(1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.index {
+				if err := tb.EnsureIndex("b"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var read []sqltypes.Row
+			seen1 := false
+			tb.Scan(func(r sqltypes.Row) bool {
+				switch a := r[0].Int(); {
+				case a == 1 && !seen1, a == 4:
+					read = append(read, r)
+					seen1 = seen1 || a == 1
+				}
+				return true
+			})
+			n, err := db.DeleteRows("t", append(read, sqltypes.Row{ci(5), ci(1)}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var left []string
+			tb.Scan(func(r sqltypes.Row) bool {
+				left = append(left, r.String())
+				return true
+			})
+			sort.Strings(left)
+			if n != 2 || fmt.Sprint(left) != tc.want {
+				t.Errorf("DeleteRows removed %d rows leaving %v; want 2 leaving %s", n, left, tc.want)
+			}
+			if tb.HasIndexOn(tb.allCols) || !tc.index && tb.HasIndexOn([]int{0}) {
+				t.Error("DeleteRows built an index")
 			}
 		})
 	}
