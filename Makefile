@@ -38,8 +38,11 @@ test-race:
 
 ## fuzz: budgeted smoke run of the fuzz targets — the differential oracle
 ## (incremental vs baseline verdicts across all commit-check modes), the
-## group-commit attribution stream, the parser round-trip property, and the
-## injectivity of the hash-key encoding (equal keys ⇔ identical rows).
+## group-commit attribution stream, the parser round-trip property, the
+## injectivity of the hash-key encoding (equal keys ⇔ identical rows), the
+## persisted value codec's exact round trip, and hostile bytes fed to the WAL
+## record and snapshot decoders (error or decode, never panic or
+## over-allocate; what decodes re-encodes to the same state).
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s
@@ -48,6 +51,9 @@ fuzz:
 	$(GO) test ./internal/difftest -fuzz 'FuzzAttribution$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqlparser -fuzz 'FuzzParseRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sqltypes -fuzz 'FuzzEncodeKeyInjective$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sqltypes -fuzz 'FuzzValueCodecRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -fuzz 'FuzzDecodeEvents$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -fuzz 'FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME)
 
 ## bench: the three micro-benchmarks that guard commit-path invariants
 ## (alloc count, metrics overhead, linearity in the update).

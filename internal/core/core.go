@@ -7,8 +7,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -642,7 +640,9 @@ type Stats struct {
 // Save persists the full tool state — the database (including event tables,
 // pending events and the generated views) plus the assertion definitions —
 // so a TINTIN installation survives a restart, matching the demo's "TINTIN
-// can be disconnected from SQL Server" claim.
+// can be disconnected from SQL Server" claim. The assertion list is a
+// MagicAssertions block holding the assertions' SQL in the sqltypes string
+// codec.
 func (t *Tool) Save(w io.Writer) error {
 	if err := t.db.Save(w); err != nil {
 		return err
@@ -651,15 +651,13 @@ func (t *Tool) Save(w io.Writer) error {
 	for _, n := range t.order {
 		sqls = append(sqls, t.asserts[n].SQL)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sqls); err != nil {
-		return err
-	}
-	return storage.WriteBlock(w, storage.MagicAssertions, buf.Bytes())
+	return storage.WriteBlock(w, storage.MagicAssertions, sqltypes.AppendStrings(nil, sqls))
 }
 
 // LoadTool restores a tool saved with Save: the database is reconstructed
-// and every assertion recompiled (deterministically reproducing the views).
+// and every assertion recompiled (deterministically reproducing its views).
+// Views the assertions do not produce — the user's own CREATE VIEWs — are
+// restored from the snapshot, in snapshot order.
 func LoadTool(r io.Reader, opts Options) (*Tool, error) {
 	db, err := storage.Load(r)
 	if err != nil {
@@ -669,12 +667,15 @@ func LoadTool(r io.Reader, opts Options) (*Tool, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sqls []string
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&sqls); err != nil {
-		return nil, fmt.Errorf("tintin: snapshot assertions: %w", err)
+	c := sqltypes.NewCursor(payload)
+	sqls := c.Strs()
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %s payload: %w", storage.ErrSnapshotCorrupt, storage.MagicAssertions, err)
 	}
-	// Views are regenerated by recompiling; drop the persisted copies.
-	for _, vn := range db.ViewNames() {
+	saved := db.ViewNames()
+	defs := make([]*sqlparser.Select, len(saved))
+	for i, vn := range saved {
+		defs[i] = db.View(vn)
 		if err := db.DropView(vn); err != nil {
 			return nil, err
 		}
@@ -683,6 +684,14 @@ func LoadTool(r io.Reader, opts Options) (*Tool, error) {
 	for _, sql := range sqls {
 		if _, err := tool.AddAssertion(sql); err != nil {
 			return nil, fmt.Errorf("tintin: recompiling persisted assertion: %w", err)
+		}
+	}
+	for i, vn := range saved {
+		if db.View(vn) != nil {
+			continue // regenerated by its assertion
+		}
+		if err := db.CreateView(vn, defs[i]); err != nil {
+			return nil, err
 		}
 	}
 	return tool, nil

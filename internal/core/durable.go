@@ -164,7 +164,7 @@ func OpenDurable(opts Options, init func() (*Tool, error)) (*Tool, error) {
 		// anything staged-but-uncommitted in the snapshot was consumed by
 		// that later commit, so replay starts each record from empty.
 		tool.db.TruncateEvents()
-		if err := tool.db.DecodeEvents(bytes.NewReader(payload)); err != nil {
+		if err := tool.db.DecodeEvents(payload); err != nil {
 			return err
 		}
 		return tool.db.ApplyEvents()

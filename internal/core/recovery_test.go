@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -566,4 +571,64 @@ func TestRecoveryObservability(t *testing.T) {
 			t.Fatalf("recovery log missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestOpenDurableRejectsGobEraSnapshot: a store whose checkpoint holds a
+// version-1 (gob) snapshot block fails to open with ErrSnapshotCorrupt naming
+// the version, and OpenDurable neither calls init nor rewrites the directory.
+func TestOpenDurableRejectsGobEraSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	// A hand-framed v1 TSNP block: magic, version 1, length, payload, CRC.
+	payload := []byte{0x0c, 0xff, 0x81, 0x02, 0x01, 0x02, 0xff, 0x82, 0x00}
+	block := append([]byte(storage.MagicDB), 1)
+	block = binary.LittleEndian.AppendUint64(block, uint64(len(payload)))
+	block = append(block, payload...)
+	block = binary.LittleEndian.AppendUint32(block, crc32.Checksum(block[4:], crc32.MakeTable(crc32.Castagnoli)))
+	st, err := wal.OpenStore(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Checkpoint(func(w io.Writer) error { _, err := w.Write(block); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+
+	opts := DefaultOptions()
+	opts.WALDir = dir
+	_, err = OpenDurable(opts, func() (*Tool, error) {
+		t.Fatal("init called: the directory would be reinitialised")
+		return nil, nil
+	})
+	if !errors.Is(err, storage.ErrSnapshotCorrupt) {
+		t.Fatalf("OpenDurable = %v, want ErrSnapshotCorrupt", err)
+	}
+	for _, want := range []string{"version 1", "gob-era snapshots are no longer read"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if after := dirContents(t, dir); after != before {
+		t.Fatalf("OpenDurable rewrote the directory:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+}
+
+// dirContents renders every file in dir with its bytes.
+func dirContents(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %x\n", e.Name(), data)
+	}
+	return b.String()
 }

@@ -17,9 +17,16 @@ import (
 // with the CRC taken over version+length+payload. The length lives in the
 // header, so multiple blocks compose in one stream (Tool.Save appends an
 // assertion block after the database block), and a truncated or bit-flipped
-// file fails with a clear sentinel instead of a raw gob decode error.
+// file fails with a clear sentinel instead of a payload decode error.
+//
+// The version names the payload format. Version 2 is the sqltypes value
+// codec (see Save and Tool.Save). Version 1 was gob; it is recognised only to
+// say that it is no longer read.
 
-const snapshotVersion = 1
+const (
+	snapshotVersion = 2
+	gobEraVersion   = 1
+)
 
 // Block magics. Four bytes, human-greppable.
 const (
@@ -75,7 +82,12 @@ func ReadBlock(r io.Reader, magic string) ([]byte, error) {
 	if string(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: want %s block, found %q", ErrSnapshotCorrupt, magic, hdr[:4])
 	}
-	if hdr[4] != snapshotVersion {
+	switch hdr[4] {
+	case snapshotVersion:
+	case gobEraVersion:
+		return nil, fmt.Errorf("%w: %s block is version %d, the gob-era format; gob-era snapshots are no longer read (this build reads version %d)",
+			ErrSnapshotCorrupt, magic, gobEraVersion, snapshotVersion)
+	default:
 		return nil, fmt.Errorf("%w: unsupported %s block version %d", ErrSnapshotCorrupt, magic, hdr[4])
 	}
 	plen := binary.LittleEndian.Uint64(hdr[5:13])

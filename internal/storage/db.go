@@ -68,6 +68,10 @@ type DB struct {
 	// validated is the generation at the last successful ValidateEvents;
 	// ApplyEvents revalidates only when the generation has moved since.
 	validated generation
+
+	// encodeScratch is EncodeEvents' buffer, reused from one commit to the
+	// next the way a table reuses its writeScratch.
+	encodeScratch []byte
 }
 
 // generation identifies the row state: schemaVersion, which only grows, and

@@ -1,22 +1,21 @@
 package storage
 
 import (
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"tintin/internal/sqltypes"
 )
 
-// Event-batch wire format: the complete pending (normalized) event-table
-// contents, gob-encoded. This is the WAL's record payload — the paper's
-// event tables are the natural redo-log unit, so a record is simply "the
-// batch safeCommit was about to apply", and replay is Decode+ApplyEvents.
-type wireEventTable struct {
-	Base string
-	Ins  [][]wireValue
-	Del  [][]wireValue
-}
+// Event-batch payload, the WAL's record: the complete pending (normalized)
+// event-table contents. The paper's event tables are the natural redo-log
+// unit, so a record is simply "the batch safeCommit was about to apply", and
+// replay is DecodeEvents+ApplyEvents. In the sqltypes value codec:
+//
+//	count of base tables with pending events; per table, sorted by name:
+//	  base table name, column count
+//	  ins_T rows, then del_T rows, each as appendRows writes them: a row
+//	  count, then the rows' values back to back
 
 // HasPendingEvents reports whether any event table holds rows.
 func (db *DB) HasPendingEvents() bool {
@@ -24,80 +23,75 @@ func (db *DB) HasPendingEvents() bool {
 	return len(withIns)+len(withDel) > 0
 }
 
-// EncodeEvents writes the pending event-table contents to w.
+// EncodeEvents writes the pending event-table contents to w in one Write. It
+// encodes into a scratch buffer the database owns, so a warm encode allocates
+// nothing per row; like the write path, it requires exclusive access.
 func (db *DB) EncodeEvents(w io.Writer) error {
-	var out []wireEventTable
-	for _, name := range db.BaseTableNames() {
-		ins := db.tables[InsTable(name)]
-		del := db.tables[DelTable(name)]
-		insLen, delLen := 0, 0
-		if ins != nil {
-			insLen = ins.Len()
+	names := db.BaseTableNames()
+	n := 0
+	for _, name := range names {
+		if ins, del := db.eventTables(name); ins.Len()+del.Len() > 0 {
+			n++
 		}
-		if del != nil {
-			delLen = del.Len()
-		}
-		if insLen == 0 && delLen == 0 {
+	}
+	b := sqltypes.AppendCount(db.encodeScratch[:0], n)
+	for _, name := range names {
+		ins, del := db.eventTables(name)
+		if ins.Len()+del.Len() == 0 {
 			continue
 		}
-		wt := wireEventTable{Base: name, Ins: make([][]wireValue, 0, insLen), Del: make([][]wireValue, 0, delLen)}
-		collect := func(t *Table, dst *[][]wireValue) {
-			if t == nil {
-				return
-			}
-			t.Scan(func(r sqltypes.Row) bool {
-				wr := make([]wireValue, len(r))
-				for i, v := range r {
-					wr[i] = toWire(v)
-				}
-				*dst = append(*dst, wr)
-				return true
-			})
-		}
-		collect(ins, &wt.Ins)
-		collect(del, &wt.Del)
-		out = append(out, wt)
+		b = sqltypes.AppendString(b, name)
+		b = sqltypes.AppendCount(b, len(db.tables[name].schema.Columns))
+		b = ins.appendRows(b)
+		b = del.appendRows(b)
 	}
-	return gob.NewEncoder(w).Encode(out)
+	db.encodeScratch = b
+	_, err := w.Write(b)
+	return err
 }
 
-// DecodeEvents reads an EncodeEvents payload and stages it into this
-// database's event tables. The caller is expected to start from empty
-// event tables (WAL replay truncates first — each record carries the
-// complete pending set of its commit).
-func (db *DB) DecodeEvents(r io.Reader) error {
-	var in []wireEventTable
-	if err := gob.NewDecoder(r).Decode(&in); err != nil {
-		return fmt.Errorf("storage: event batch: %w", err)
+// eventTables returns base table name's ins_T and del_T; an absent one is an
+// empty stand-in, so callers need not check.
+func (db *DB) eventTables(name string) (ins, del *Table) {
+	ins, del = db.tables[InsTable(name)], db.tables[DelTable(name)]
+	if ins == nil {
+		ins = noEvents
 	}
-	for _, wt := range in {
-		ins := db.tables[InsTable(wt.Base)]
-		del := db.tables[DelTable(wt.Base)]
+	if del == nil {
+		del = noEvents
+	}
+	return ins, del
+}
+
+// noEvents stands in for an event table that was never installed.
+var noEvents = &Table{}
+
+// DecodeEvents stages an EncodeEvents payload into this database's event
+// tables. The caller is expected to start from empty event tables (WAL replay
+// truncates first — each record carries the complete pending set of its
+// commit).
+func (db *DB) DecodeEvents(payload []byte) error {
+	c := sqltypes.NewCursor(payload)
+	for range c.Count(1) {
+		name, arity := c.Str(), c.Uvarint()
+		if c.Err() != nil {
+			break
+		}
+		ins, del := db.tables[InsTable(name)], db.tables[DelTable(name)]
 		if ins == nil || del == nil {
-			return fmt.Errorf("storage: event batch: no event tables for %s", wt.Base)
+			return fmt.Errorf("storage: event batch: no event tables for %s", name)
 		}
-		stage := func(t *Table, rows [][]wireValue) error {
-			for _, wr := range rows {
-				row := make(sqltypes.Row, len(wr))
-				for i, wv := range wr {
-					v, err := fromWire(wv)
-					if err != nil {
-						return err
-					}
-					row[i] = v
-				}
-				if err := t.Insert(row); err != nil {
-					return fmt.Errorf("storage: event batch: staging into %s: %w", t.Schema().Name, err)
-				}
+		if want := len(ins.schema.Columns); arity != uint64(want) {
+			return fmt.Errorf("storage: event batch: table %s has %d columns, the record says %d", name, want, arity)
+		}
+		for _, t := range [2]*Table{ins, del} {
+			if err := t.decodeRows(c); err != nil {
+				return fmt.Errorf("storage: event batch: staging into %s: %w", t.Name(), err)
 			}
-			return nil
 		}
-		if err := stage(ins, wt.Ins); err != nil {
-			return err
-		}
-		if err := stage(del, wt.Del); err != nil {
-			return err
-		}
+	}
+	if err := c.Done(); err != nil {
+		return fmt.Errorf("storage: event batch: %w", err)
 	}
 	return nil
 }

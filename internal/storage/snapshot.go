@@ -1,8 +1,6 @@
 package storage
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -10,75 +8,20 @@ import (
 	"tintin/internal/sqltypes"
 )
 
-// Snapshot wire format. Values are flattened because sqltypes.Value has
-// unexported fields by design.
-type wireValue struct {
-	K uint8
-	I int64
-	F float64
-	S string
-	B bool
-}
-
-type wireColumn struct {
-	Name    string
-	Type    uint8
-	NotNull bool
-}
-
-type wireFK struct {
-	Columns    []string
-	RefTable   string
-	RefColumns []string
-}
-
-type wireTable struct {
-	Name       string
-	Columns    []wireColumn
-	PrimaryKey []string
-	FKs        []wireFK
-	Rows       [][]wireValue
-}
-
-type wireDB struct {
-	Name    string
-	Capture bool
-	Tables  []wireTable
-	// Views are persisted as SQL text and reparsed on load.
-	ViewNames []string
-	ViewSQL   []string
-}
-
-func toWire(v sqltypes.Value) wireValue {
-	w := wireValue{K: uint8(v.Kind())}
-	switch v.Kind() {
-	case sqltypes.KindInt:
-		w.I = v.Int()
-	case sqltypes.KindFloat:
-		w.F = v.Float()
-	case sqltypes.KindString:
-		w.S = v.Str()
-	case sqltypes.KindBool:
-		w.B = v.Bool()
-	}
-	return w
-}
-
-func fromWire(w wireValue) (sqltypes.Value, error) {
-	switch sqltypes.Kind(w.K) {
-	case sqltypes.KindNull:
-		return sqltypes.Null, nil
-	case sqltypes.KindInt:
-		return sqltypes.NewInt(w.I), nil
-	case sqltypes.KindFloat:
-		return sqltypes.NewFloat(w.F), nil
-	case sqltypes.KindString:
-		return sqltypes.NewString(w.S), nil
-	case sqltypes.KindBool:
-		return sqltypes.NewBool(w.B), nil
-	}
-	return sqltypes.Null, fmt.Errorf("storage: snapshot: unknown value kind %d", w.K)
-}
+// Snapshot payload (the MagicDB block, version 2), in the sqltypes value
+// codec:
+//
+//	database name, capture flag
+//	table count; per table, sorted by name:
+//	  name
+//	  column count; per column: name, type (a wire tag), NOT NULL flag
+//	  primary-key column names
+//	  foreign-key count; per key: columns, referenced table, referenced columns
+//	  row count, then every row's values back to back (the arity is the
+//	  column count)
+//	view count; per view, in creation order: name, SELECT text
+//
+// Views are persisted as SQL text and reparsed on load.
 
 // Save writes a complete snapshot of the database (schemas, rows, views,
 // capture flag) to w, framed as a checksummed block (see WriteBlock) so
@@ -86,95 +29,145 @@ func fromWire(w wireValue) (sqltypes.Value, error) {
 // implements the demo's persistence story: TINTIN's generated artifacts
 // survive in the database and the tool can be "disconnected".
 func (db *DB) Save(w io.Writer) error {
-	out := wireDB{Name: db.Name, Capture: db.capture}
-	for _, name := range db.TableNames() {
+	return WriteBlock(w, MagicDB, db.appendSnapshot(nil))
+}
+
+// appendSnapshot appends the snapshot payload to b.
+func (db *DB) appendSnapshot(b []byte) []byte {
+	b = sqltypes.AppendString(b, db.Name)
+	b = sqltypes.AppendBool(b, db.capture)
+	names := db.TableNames()
+	b = sqltypes.AppendCount(b, len(names))
+	for _, name := range names {
 		t := db.tables[name]
-		s := t.Schema()
-		wt := wireTable{Name: s.Name, PrimaryKey: s.PrimaryKey}
+		s := t.schema
+		b = sqltypes.AppendString(b, s.Name)
+		b = sqltypes.AppendCount(b, len(s.Columns))
 		for _, c := range s.Columns {
-			wt.Columns = append(wt.Columns, wireColumn{Name: c.Name, Type: uint8(c.Type), NotNull: c.NotNull})
+			b = sqltypes.AppendString(b, c.Name)
+			b = sqltypes.AppendKind(b, c.Type)
+			b = sqltypes.AppendBool(b, c.NotNull)
 		}
+		b = sqltypes.AppendStrings(b, s.PrimaryKey)
+		b = sqltypes.AppendCount(b, len(s.ForeignKeys))
 		for _, fk := range s.ForeignKeys {
-			wt.FKs = append(wt.FKs, wireFK{Columns: fk.Columns, RefTable: fk.RefTable, RefColumns: fk.RefColumns})
+			b = sqltypes.AppendStrings(b, fk.Columns)
+			b = sqltypes.AppendString(b, fk.RefTable)
+			b = sqltypes.AppendStrings(b, fk.RefColumns)
 		}
-		t.Scan(func(r sqltypes.Row) bool {
-			wr := make([]wireValue, len(r))
-			for i, v := range r {
-				wr[i] = toWire(v)
-			}
-			wt.Rows = append(wt.Rows, wr)
-			return true
-		})
-		out.Tables = append(out.Tables, wt)
+		b = t.appendRows(b)
 	}
-	for _, vn := range db.ViewNames() {
-		out.ViewNames = append(out.ViewNames, vn)
-		out.ViewSQL = append(out.ViewSQL, sqlparser.FormatSelect(db.views[vn]))
+	b = sqltypes.AppendCount(b, len(db.viewOrder))
+	for _, vn := range db.viewOrder {
+		b = sqltypes.AppendString(b, vn)
+		b = sqltypes.AppendString(b, sqlparser.FormatSelect(db.views[vn]))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
-		return err
-	}
-	return WriteBlock(w, MagicDB, buf.Bytes())
+	return b
 }
 
 // Load reads a snapshot written by Save and returns the reconstructed
 // database. Truncated or corrupted files fail with ErrSnapshotTruncated /
-// ErrSnapshotCorrupt before any gob decoding is attempted.
+// ErrSnapshotCorrupt before any payload decoding is attempted; a payload that
+// passes its checksum but does not decode fails with ErrSnapshotCorrupt.
 func Load(r io.Reader) (*DB, error) {
 	payload, err := ReadBlock(r, MagicDB)
 	if err != nil {
 		return nil, err
 	}
-	var in wireDB
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&in); err != nil {
-		return nil, fmt.Errorf("storage: snapshot: %w", err)
+	db, err := decodeSnapshot(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s payload: %w", ErrSnapshotCorrupt, MagicDB, err)
 	}
-	db := NewDB(in.Name)
-	for _, wt := range in.Tables {
-		cols := make([]Column, len(wt.Columns))
-		for i, c := range wt.Columns {
-			cols[i] = Column{Name: c.Name, Type: sqltypes.Kind(c.Type), NotNull: c.NotNull}
-		}
-		fks := make([]ForeignKey, len(wt.FKs))
-		for i, fk := range wt.FKs {
-			fks[i] = ForeignKey{Columns: fk.Columns, RefTable: fk.RefTable, RefColumns: fk.RefColumns}
-		}
-		schema, err := NewSchema(wt.Name, cols, wt.PrimaryKey, fks)
-		if err != nil {
-			return nil, fmt.Errorf("storage: snapshot: table %s: %w", wt.Name, err)
-		}
-		t, err := db.CreateTable(schema)
-		if err != nil {
+	return db, nil
+}
+
+// decodeSnapshot rebuilds a database from an appendSnapshot payload.
+func decodeSnapshot(payload []byte) (*DB, error) {
+	c := sqltypes.NewCursor(payload)
+	db := NewDB(c.Str())
+	capture := c.Bool()
+	for range c.Count(1) {
+		if err := db.decodeTable(c); err != nil {
 			return nil, err
 		}
-		for _, wr := range wt.Rows {
-			row := make(sqltypes.Row, len(wr))
-			for i, wv := range wr {
-				v, err := fromWire(wv)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			if err := t.Insert(row); err != nil {
-				return nil, fmt.Errorf("storage: snapshot: table %s: %w", wt.Name, err)
-			}
-		}
 	}
-	for i, vn := range in.ViewNames {
-		sel, err := sqlparser.ParseSelect(in.ViewSQL[i])
+	for range c.Count(1) {
+		vn, sql := c.Str(), c.Str()
+		if c.Err() != nil {
+			break
+		}
+		sel, err := sqlparser.ParseSelect(sql)
 		if err != nil {
-			return nil, fmt.Errorf("storage: snapshot: view %s: %w", vn, err)
+			return nil, fmt.Errorf("view %s: %w", vn, err)
 		}
 		if err := db.CreateView(vn, sel); err != nil {
 			return nil, err
 		}
 	}
-	if in.Capture {
+	if err := c.Done(); err != nil {
+		return nil, err
+	}
+	if capture {
 		if err := db.SetCapture(true); err != nil {
 			return nil, err
 		}
 	}
 	return db, nil
+}
+
+// decodeTable reads one table's schema and rows from c and creates it.
+func (db *DB) decodeTable(c *sqltypes.Cursor) error {
+	name := c.Str()
+	cols := make([]Column, c.Count(3)) // a column is at least 3 bytes
+	for i := range cols {
+		cols[i] = Column{Name: c.Str(), Type: c.Kind(), NotNull: c.Bool()}
+	}
+	pk := c.Strs()
+	fks := make([]ForeignKey, c.Count(3))
+	for i := range fks {
+		fks[i] = ForeignKey{Columns: c.Strs(), RefTable: c.Str(), RefColumns: c.Strs()}
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	schema, err := NewSchema(name, cols, pk, fks)
+	if err != nil {
+		return err
+	}
+	t, err := db.CreateTable(schema)
+	if err != nil {
+		return err
+	}
+	if err := t.decodeRows(c); err != nil {
+		return fmt.Errorf("table %s: %w", name, err)
+	}
+	return nil
+}
+
+// appendRows appends the live row count, then every live row's values.
+func (t *Table) appendRows(b []byte) []byte {
+	b = sqltypes.AppendCount(b, t.live)
+	for slot, r := range t.rows {
+		if t.alive[slot] {
+			b = sqltypes.AppendValues(b, r)
+		}
+	}
+	return b
+}
+
+// decodeRows reads what appendRows wrote and inserts the rows into t. The
+// rows share one backing array, each capped at its own values.
+func (t *Table) decodeRows(c *sqltypes.Cursor) error {
+	arity := len(t.schema.Columns)
+	vals := make([]sqltypes.Value, c.Count(arity)*arity) // a value is at least 1 byte
+	c.Values(vals)
+	if err := c.Err(); err != nil {
+		return err
+	}
+	for i := 0; i < len(vals); i += arity {
+		if err := t.Insert(vals[i : i+arity : i+arity]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -157,4 +161,116 @@ func TestBlockRoundTripComposes(t *testing.T) {
 	if _, err := ReadBlock(r2, "BBBB"); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("magic mismatch = %v, want ErrSnapshotCorrupt", err)
 	}
+}
+
+// TestSnapshotKeepsValuesExact: a value comes back from Save/Load with its
+// kind and, for a REAL, its exact bits; pending events and the view too.
+func TestSnapshotKeepsValuesExact(t *testing.T) {
+	db := savedEdgeDB(t)
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := db.appendSnapshot(nil), got.appendSnapshot(nil); !bytes.Equal(a, b) {
+		t.Fatalf("state changed across Save/Load:\n% x\n% x", a, b)
+	}
+	var bits []uint64
+	got.MustTable("k").Scan(func(r sqltypes.Row) bool {
+		if r[1].Kind() == sqltypes.KindFloat {
+			bits = append(bits, math.Float64bits(r[1].Float()))
+		}
+		return true
+	})
+	want := []uint64{1 << 63, 0x7ff8_0000_0000_beef, math.Float64bits(math.Inf(-1))}
+	if !slices.Equal(bits, want) {
+		t.Fatalf("REAL bits after Load = %x, want %x", bits, want)
+	}
+	if !got.MustTable("k").ContainsRow(edgeRows()[0]) || got.MustTable(DelTable("k")).Len() != 1 || got.View("truek") == nil {
+		t.Fatal("rows, pending deletion or view lost")
+	}
+}
+
+// v1Block frames payload as a version-1 block: what a gob-era Save wrote.
+func v1Block(magic string, payload []byte) []byte {
+	b := append([]byte(magic), 1)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestGobEraBlocksRejected: version 1 was gob, and no reader for it is kept.
+// A well-formed v1 block of either magic fails as corrupt, and says why.
+func TestGobEraBlocksRejected(t *testing.T) {
+	gobish := []byte{0x0c, 0xff, 0x81, 0x02, 0x01, 0x02, 0xff, 0x82, 0x00, 0x01, 0x0c, 0x00, 0x00}
+	for _, magic := range []string{MagicDB, MagicAssertions} {
+		_, err := ReadBlock(bytes.NewReader(v1Block(magic, gobish)), magic)
+		if !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("%s v1 block: err = %v, want ErrSnapshotCorrupt", magic, err)
+		}
+		for _, want := range []string{magic, "version 1", "gob-era snapshots are no longer read"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s v1 block: error %q does not mention %q", magic, err, want)
+			}
+		}
+	}
+	if _, err := Load(bytes.NewReader(v1Block(MagicDB, gobish))); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("Load of a v1 snapshot = %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestDecodeHugeCountsFailFast: a count of 1<<62 in a record or a snapshot —
+// tables, rows, columns, string bytes — errors before anything sized by it is
+// allocated.
+func TestDecodeHugeCountsFailFast(t *testing.T) {
+	huge := func(b []byte) []byte { return binary.AppendUvarint(b, 1<<62) }
+	eventsHead := sqltypes.AppendCount(sqltypes.AppendString(sqltypes.AppendCount(nil, 1), "k"), 4)
+	dbHead := sqltypes.AppendCount(sqltypes.AppendBool(sqltypes.AppendString(nil, "d"), false), 1)
+	tableHead := sqltypes.AppendCount(sqltypes.AppendString(dbHead, "t"), 1)
+	tableHead = sqltypes.AppendBool(sqltypes.AppendKind(sqltypes.AppendString(tableHead, "a"), sqltypes.KindInt), false)
+	tableHead = sqltypes.AppendCount(sqltypes.AppendStrings(tableHead, nil), 0)
+
+	events := map[string][]byte{
+		"table count":   huge(nil),
+		"name length":   huge(sqltypes.AppendCount(nil, 1)),
+		"ins row count": huge(eventsHead),
+		"del row count": huge(sqltypes.AppendCount(eventsHead, 0)),
+	}
+	snapshots := map[string][]byte{
+		"db name length": huge(nil),
+		"table count":    huge(sqltypes.AppendBool(sqltypes.AppendString(nil, "d"), false)),
+		"column count":   huge(sqltypes.AppendString(dbHead, "t")),
+		"row count":      huge(tableHead),
+		"view count":     huge(sqltypes.AppendCount(tableHead, 0)),
+	}
+	check := func(kind, name string, decode func() error) {
+		var err error
+		n := bytesDuring(func() { err = decode() })
+		if err == nil {
+			t.Errorf("%s with a huge %s decoded", kind, name)
+		}
+		if !raceEnabled && n > 1<<16 {
+			t.Errorf("%s with a huge %s: %d bytes allocated before failing", kind, name, n)
+		}
+	}
+	for name, payload := range events {
+		db := kindsDB(t)
+		check("event record", name, func() error { return db.DecodeEvents(payload) })
+	}
+	for name, payload := range snapshots {
+		check("snapshot", name, func() error { _, err := decodeSnapshot(payload); return err })
+	}
+}
+
+// bytesDuring reports the heap bytes allocated while f runs.
+func bytesDuring(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -422,5 +424,51 @@ func TestValidateEventsAllocs(t *testing.T) {
 	}
 	if verr != nil {
 		t.Fatal(verr)
+	}
+}
+
+// TestEncodeEventsAllocs: a warm EncodeEvents appends into the database's
+// scratch buffer and writes it once, so its allocations do not depend on the
+// batch size: a 50-row and a 5,000-row batch allocate the same count.
+func TestEncodeEventsAllocs(t *testing.T) {
+	skipAllocGuard(t)
+	allocs := func(n int) uint64 {
+		db := newKeyedDB(t, n)
+		for i := 0; i < n; i++ {
+			if err := db.Insert("t", sqltypes.Row{ci(int64(n + i)), ci(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := db.DeleteWhere("t", func(r sqltypes.Row) bool { return r[0].Int()%2 == 0 }); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		encode := func() {
+			buf.Reset()
+			if err := db.EncodeEvents(&buf); err != nil {
+				panic(err)
+			}
+		}
+		encode() // grows the scratch and the buffer once
+		return allocsDuring(encode)
+	}
+	if small, large := allocs(50), allocs(5000); small != large {
+		t.Fatalf("warm EncodeEvents allocated %d times for 50 rows, %d for 5,000", small, large)
+	}
+}
+
+// TestSaveAllocs: Save appends every row straight into one payload, so a
+// 50,000-row table costs the payload's growth, not an object per row.
+func TestSaveAllocs(t *testing.T) {
+	skipAllocGuard(t)
+	const rows = 50_000
+	db := newKeyedDB(t, rows)
+	n := allocsDuring(func() {
+		if err := db.Save(io.Discard); err != nil {
+			panic(err)
+		}
+	})
+	if n >= rows/100 {
+		t.Fatalf("Save of %d rows allocated %d times, want fewer than %d", rows, n, rows/100)
 	}
 }
