@@ -11,14 +11,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-## lint: the tintinvet suite — six custom go/analysis analyzers that
-## mechanize the commit-path invariants (no plan compilation or metrics
-## lookups on the hot path, Freeze/Thaw pairing, error-prefix convention,
-## NULL-safe Value comparison, engine determinism). Violations are
-## suppressed only by a reasoned //tintin:allow directive.
+## lint: the tintinvet suite — five analyzers that mechanize the
+## commit-path invariants (no plan compilation or metrics lookups on the hot
+## path, error-prefix convention, NULL-safe Value comparison, engine
+## determinism), run in-process over every package and its tests by one
+## standard-library-only driver. Violations are suppressed only by a
+## reasoned //tintin:allow directive.
 lint:
-	$(GO) build -o bin/tintinvet ./cmd/tintinvet
-	$(GO) vet -vettool=bin/tintinvet ./...
+	$(GO) run ./cmd/tintinvet ./...
 
 test:
 	$(GO) test ./...
@@ -83,12 +83,12 @@ benchmark:
 e1:
 	$(GO) test ./internal/harness/ -run TestE1QuickGrid -v
 
-## loc: the size ledger — non-test Go lines outside vendor/ per top-level
+## loc: the size ledger — non-test Go lines per top-level
 ## package directory (internal/<pkg>, bench, cmd, examples), largest first,
 ## then the total. Counts tracked files only (git ls-files), so build output
 ## never inflates it.
 loc:
-	@git ls-files '*.go' ':(exclude)vendor/' ':(exclude)*_test.go' | awk ' \
+	@git ls-files '*.go' ':(exclude)*_test.go' | awk ' \
 		{ n = split($$0, p, "/"); d = (p[1] == "internal" && n > 2) ? p[2] : p[1]; \
 		  while ((getline line < $$0) > 0) { lines[d]++; total++ }; close($$0) } \
 		END { sort = "sort -k2,2nr -k1,1"; \

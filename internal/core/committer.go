@@ -51,8 +51,8 @@ func (t *Tool) commitBatch(batch []sched.Delta) ([]sched.Ack[*CommitResult], err
 	// The committer's leader recovers panics and keeps serving, so a panic
 	// escaping mid-commit must not leave this batch's staged events behind
 	// to be silently committed under the next batch. (Any check-time
-	// freeze has already been thawed by its own deferred Thaw by the time
-	// this unwinds.)
+	// freeze has already been lifted by WhileFrozen's deferred thaw by the
+	// time this unwinds.)
 	defer func() {
 		if r := recover(); r != nil {
 			t.db.TruncateEvents()

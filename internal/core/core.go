@@ -493,11 +493,11 @@ func (t *Tool) runChecks(checks []viewCheck, res *CommitResult, parent *obs.Span
 	}
 	t.tasks = tasks
 
-	fs := parent.Child("freeze")
-	t.db.Freeze()
-	fs.End()
-	defer t.db.Thaw() // deferred: a panic escaping the pool must not leave the db frozen
-	outs := t.pool.RunSpan(tasks, parent)
+	var outs []sched.Outcome
+	t.db.WhileFrozen(func() {
+		parent.Child("freeze").End()
+		outs = t.pool.RunSpan(tasks, parent)
+	})
 
 	for i, out := range outs {
 		c := checks[i]

@@ -223,16 +223,16 @@ func TestParallelSafeCommitUsesPlanCache(t *testing.T) {
 
 // TestParallelCheckFreezesDB: during a parallel fan-out the database is an
 // immutable snapshot; a write attempted while frozen fails loudly rather
-// than racing the workers. (Freeze is lifted again by the time SafeCommit
-// applies events, so the commit itself must succeed.)
+// than racing the workers. (The freeze is lifted again by the time
+// SafeCommit applies events, so the commit itself must succeed.)
 func TestParallelCheckFreezesDB(t *testing.T) {
 	tool := coretest.NewBankTool(t, 4)
 	db := tool.DB()
-	db.Freeze()
-	if err := db.Insert("customer", sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewString("X")}); err == nil {
-		t.Fatal("insert on frozen database succeeded")
-	}
-	db.Thaw()
+	db.WhileFrozen(func() {
+		if err := db.Insert("customer", sqltypes.Row{sqltypes.NewInt(9), sqltypes.NewString("X")}); err == nil {
+			t.Error("insert on frozen database succeeded")
+		}
+	})
 	if _, err := tool.Engine().ExecSQL(`INSERT INTO transfer VALUES (3000, 100, 200, 2.0)`); err != nil {
 		t.Fatal(err)
 	}

@@ -1,44 +1,52 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
 	"go/token"
-	"reflect"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
 // allowPrefix is the suppression directive marker. Like //go:build, the
 // directive form has no space between // and the marker.
 const allowPrefix = "//tintin:allow"
 
-// AllowAnalyzer indexes //tintin:allow suppression directives and reports
-// malformed ones (unknown analyzer names, missing reason). The other
-// analyzers require it and drop diagnostics the index covers.
-var AllowAnalyzer = &analysis.Analyzer{
+// AllowAnalyzer reports malformed //tintin:allow directives (unknown
+// analyzer names, missing reason). A directive
+// `//tintin:allow <analyzer>[,<analyzer>] <reason>` on a flagged line (or
+// the line above it) suppresses those analyzers' diagnostics there. The
+// reason string is mandatory: a suppression is an argument for why the
+// invariant holds anyway, and it must be written down where the next
+// reader will look. The driver indexes every package's directives before
+// any analyzer runs; this analyzer reports the ones the index dropped.
+var AllowAnalyzer = &Analyzer{
 	Name: "tintinallow",
-	Doc: "validate //tintin:allow suppression directives\n\n" +
-		"A directive `//tintin:allow <analyzer>[,<analyzer>] <reason>` on a\n" +
-		"flagged line (or the line above it) suppresses those analyzers'\n" +
-		"diagnostics there. The reason string is mandatory: a suppression\n" +
-		"is an argument for why the invariant holds anyway, and it must be\n" +
-		"written down where the next reader will look.",
-	Run:        runAllow,
-	ResultType: reflect.TypeOf((*AllowIndex)(nil)),
+	run: func(pass *pass) {
+		for _, m := range pass.allow.malformed {
+			pass.report(m.pos, m.msg)
+		}
+	},
 }
 
-// AllowIndex records, per file-and-line, which analyzers have an active
+// allowIndex records, per file-and-line, which analyzers have an active
 // suppression directive.
-type AllowIndex struct {
+type allowIndex struct {
 	fset *token.FileSet
 	// byLine maps filename → line → analyzer names allowed on that line.
 	byLine map[string]map[int]map[string]bool
+	// malformed holds the directives that suppress nothing, with why.
+	malformed []malformedDirective
 }
 
-// Allows reports whether a diagnostic from the named analyzer at pos is
+type malformedDirective struct {
+	pos token.Pos
+	msg string
+}
+
+// allows reports whether a diagnostic from the named analyzer at pos is
 // covered by a directive on the same line or the line immediately above.
-func (ix *AllowIndex) Allows(name string, pos token.Pos) bool {
-	if ix == nil || !pos.IsValid() {
+func (ix *allowIndex) allows(name string, pos token.Pos) bool {
+	if !pos.IsValid() {
 		return false
 	}
 	p := ix.fset.Position(pos)
@@ -49,9 +57,13 @@ func (ix *AllowIndex) Allows(name string, pos token.Pos) bool {
 	return lines[p.Line][name] || lines[p.Line-1][name]
 }
 
-func runAllow(pass *analysis.Pass) (interface{}, error) {
-	ix := &AllowIndex{fset: pass.Fset, byLine: map[string]map[int]map[string]bool{}}
-	for _, f := range pass.Files {
+// newAllowIndex indexes the directives in files.
+func newAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
+	ix := &allowIndex{fset: fset, byLine: map[string]map[int]map[string]bool{}}
+	bad := func(pos token.Pos, why string) {
+		ix.malformed = append(ix.malformed, malformedDirective{pos, "malformed " + allowPrefix + " directive: " + why})
+	}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, allowPrefix) {
@@ -63,24 +75,24 @@ func runAllow(pass *analysis.Pass) (interface{}, error) {
 				}
 				names, reason := splitDirective(rest)
 				if len(names) == 0 {
-					pass.Reportf(c.Pos(), "malformed %s directive: missing analyzer name", allowPrefix)
+					bad(c.Pos(), "missing analyzer name")
 					continue
 				}
-				bad := false
+				ok := true
 				for _, n := range names {
 					if !analyzerNames[n] {
-						pass.Reportf(c.Pos(), "malformed %s directive: unknown analyzer %q", allowPrefix, n)
-						bad = true
+						bad(c.Pos(), fmt.Sprintf("unknown analyzer %q", n))
+						ok = false
 					}
 				}
 				if reason == "" {
-					pass.Reportf(c.Pos(), "malformed %s directive: a reason is required after the analyzer name", allowPrefix)
-					bad = true
+					bad(c.Pos(), "a reason is required after the analyzer name")
+					ok = false
 				}
-				if bad {
+				if !ok {
 					continue
 				}
-				p := pass.Fset.Position(c.Pos())
+				p := fset.Position(c.Pos())
 				lines := ix.byLine[p.Filename]
 				if lines == nil {
 					lines = map[int]map[string]bool{}
@@ -97,7 +109,7 @@ func runAllow(pass *analysis.Pass) (interface{}, error) {
 			}
 		}
 	}
-	return ix, nil
+	return ix
 }
 
 // splitDirective parses " name1,name2 the reason text" into the analyzer
@@ -111,13 +123,4 @@ func splitDirective(rest string) (names []string, reason string) {
 		}
 	}
 	return names, strings.TrimSpace(reason)
-}
-
-// reportf emits a diagnostic unless an AllowIndex directive covers it.
-func reportf(pass *analysis.Pass, pos token.Pos, format string, args ...interface{}) {
-	ix, _ := pass.ResultOf[AllowAnalyzer].(*AllowIndex)
-	if ix.Allows(pass.Analyzer.Name, pos) {
-		return
-	}
-	pass.Reportf(pos, format, args...)
 }

@@ -6,42 +6,17 @@ import (
 	"go/token"
 	"strings"
 	"testing"
-
-	"golang.org/x/tools/go/analysis"
 )
-
-// runAllowOn parses src and runs the tintinallow analyzer over it,
-// returning the index and the malformed-directive diagnostics.
-func runAllowOn(t *testing.T, src string) (*AllowIndex, []analysis.Diagnostic) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "allow.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer: AllowAnalyzer,
-		Fset:     fset,
-		Files:    []*ast.File{f},
-		Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	res, err := runAllow(pass)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.(*AllowIndex), diags
-}
 
 const allowSrc = `package p
 
 func f() {
 	_ = 1 //tintin:allow errprefix matched verbatim by an external contract
-	//tintin:allow freezethaw,valuecompare caller holds the invariant
+	//tintin:allow obsdirect,valuecompare caller holds the invariant
 	_ = 2
 	//tintin:allow
 	_ = 3
-	//tintin:allow nosuchanalyzer because reasons
+	//tintin:allow freezethaw a directive naming a deleted analyzer
 	_ = 4
 	//tintin:allow errprefix
 	_ = 5
@@ -50,19 +25,24 @@ func f() {
 `
 
 func TestAllowDirectiveParsing(t *testing.T) {
-	ix, diags := runAllowOn(t, allowSrc)
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "allow.go", allowSrc, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := newAllowIndex(fset, []*ast.File{f})
 
 	want := []string{
-		"missing analyzer name",             // line 7: no names, no reason
-		`unknown analyzer "nosuchanalyzer"`, // line 9
-		"a reason is required",              // line 11: name but no reason
+		"missing analyzer name",         // line 7: no names, no reason
+		`unknown analyzer "freezethaw"`, // line 9: a stale directive
+		"a reason is required",          // line 11: name but no reason
 	}
-	if len(diags) != len(want) {
-		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(want), diags)
+	if len(ix.malformed) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d: %v", len(ix.malformed), len(want), ix.malformed)
 	}
 	for i, w := range want {
-		if !strings.Contains(diags[i].Message, w) {
-			t.Errorf("diagnostic %d = %q, want substring %q", i, diags[i].Message, w)
+		if !strings.Contains(ix.malformed[i].msg, w) {
+			t.Errorf("diagnostic %d = %q, want substring %q", i, ix.malformed[i].msg, w)
 		}
 	}
 
@@ -81,18 +61,18 @@ func TestAllowDirectiveParsing(t *testing.T) {
 		want bool
 	}{
 		{"errprefix", 4, true},    // trailing same-line directive
-		{"freezethaw", 6, true},   // directive on the line above
+		{"obsdirect", 6, true},    // directive on the line above
 		{"valuecompare", 6, true}, // multi-analyzer directive
 		{"errprefix", 6, false},   // not named by that directive
-		{"freezethaw", 4, false},  // different analyzer's directive
+		{"obsdirect", 4, false},   // different analyzer's directive
 		{"errprefix", 8, false},   // malformed: no effect
-		{"nosuchanalyzer", 10, false},
+		{"freezethaw", 10, false},
 		{"errprefix", 12, false}, // reasonless: no effect
 		{"errprefix", 13, false}, // two lines below a directive
 	}
 	for _, c := range cases {
-		if got := ix.Allows(c.name, pos(c.line)); got != c.want {
-			t.Errorf("Allows(%q, line %d) = %v, want %v", c.name, c.line, got, c.want)
+		if got := ix.allows(c.name, pos(c.line)); got != c.want {
+			t.Errorf("allows(%q, line %d) = %v, want %v", c.name, c.line, got, c.want)
 		}
 	}
 }

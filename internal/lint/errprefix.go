@@ -4,13 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
-	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
 // recognizedPrefixes are the subsystem tags an error message may open
@@ -19,7 +13,7 @@ import (
 var recognizedPrefixes = []string{
 	"tintin", "typecheck", "engine", "storage", "wal", "sched", "obs",
 	"harness", "tpch", "sqltypes", "sqlparser", "sqlgen", "logic", "edc",
-	"baseline", "difftest", "lint", "linttest",
+	"baseline", "difftest", "lint",
 }
 
 // ErrPrefixAnalyzer enforces the error-message convention across
@@ -28,25 +22,22 @@ var recognizedPrefixes = []string{
 // via %w (context wrappers inherit the origin's prefix through the chain).
 // A bare message like "unknown table t" gives an operator no way to tell
 // which subsystem rejected their input.
-var ErrPrefixAnalyzer = &analysis.Analyzer{
-	Name: "errprefix",
-	Doc: "error constructors in internal/... must carry a subsystem prefix or wrap via %w\n\n" +
-		"Recognized prefixes: " + strings.Join(recognizedPrefixes, ", ") + ".\n" +
-		"The prefix belongs at the error's origin; wrapping context\n" +
-		"(\"assertion %s: %w\") needs none of its own.",
-	Requires: []*analysis.Analyzer{AllowAnalyzer, inspect.Analyzer},
-	Run:      runErrPrefix,
-}
+//
+// The prefix belongs at the error's origin; wrapping context
+// ("assertion %s: %w") needs none of its own.
+var ErrPrefixAnalyzer = &Analyzer{Name: "errprefix", run: runErrPrefix}
 
-func runErrPrefix(pass *analysis.Pass) (interface{}, error) {
-	if !strings.Contains(pass.Pkg.Path()+"/", "internal/") {
-		return nil, nil // convention scoped to the internal tree
+func runErrPrefix(pass *pass) {
+	if !strings.Contains(pass.pkg.Path()+"/", "internal/") {
+		return // convention scoped to the internal tree
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
-		if !ok || fn.Pkg() == nil || len(call.Args) == 0 {
+	inspect(pass, func(n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return
+		}
+		fn := callee(pass.info, call)
+		if fn == nil || fn.Pkg() == nil {
 			return
 		}
 		var wrapOK bool
@@ -60,7 +51,7 @@ func runErrPrefix(pass *analysis.Pass) (interface{}, error) {
 		if inTestFile(pass, call.Pos()) {
 			return // test scaffolding errors are not user-facing
 		}
-		tv, ok := pass.TypesInfo.Types[call.Args[0]]
+		tv, ok := pass.info.Types[call.Args[0]]
 		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 			return // dynamic format string: nothing to check statically
 		}
@@ -71,11 +62,10 @@ func runErrPrefix(pass *analysis.Pass) (interface{}, error) {
 		if hasRecognizedPrefix(msg) {
 			return
 		}
-		reportf(pass, call.Pos(),
+		pass.reportf(call.Pos(),
 			"error message %q lacks a subsystem prefix (%s, ...) and does not wrap a cause via %%w",
 			abbreviate(msg), recognizedPrefixes[0]+":")
 	})
-	return nil, nil
 }
 
 // hasRecognizedPrefix reports whether msg opens with "<subsystem>: ".
@@ -89,8 +79,8 @@ func hasRecognizedPrefix(msg string) bool {
 }
 
 // inTestFile reports whether pos is inside a _test.go file.
-func inTestFile(pass *analysis.Pass, pos token.Pos) bool {
-	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
+func inTestFile(pass *pass, pos token.Pos) bool {
+	return strings.HasSuffix(pass.fset.Position(pos).Filename, "_test.go")
 }
 
 // abbreviate keeps diagnostics one-line for long format strings.

@@ -1,14 +1,15 @@
-// Package lint implements the tintinvet analyzers: a go/analysis suite
-// that mechanizes the repo's commit-path invariants at the source level.
+// Package lint implements the tintinvet analyzers: a static-analysis suite
+// that mechanizes the repo's commit-path invariants at the source level,
+// and the one driver that runs it (Run, Check).
 //
 // The standing constraints in ROADMAP.md — plan-compilation-free commits,
-// +0-alloc direct-pointer metrics, Freeze/Thaw snapshot discipline,
-// NULL-safe Value comparison, deterministic merges — are each guarded
-// dynamically by one test or benchmark that exercises one code path. A new
-// call site that violates them compiles clean and slips past until a bench
-// regresses. These analyzers encode the same invariants as static checks
-// over every call site, the way the differential oracle (internal/difftest)
-// encodes the semantic ones over every generated workload.
+// +0-alloc direct-pointer metrics, NULL-safe Value comparison,
+// deterministic merges — are each guarded dynamically by one test or
+// benchmark that exercises one code path. A new call site that violates
+// them compiles clean and slips past until a bench regresses. These
+// analyzers encode the same invariants as static checks over every call
+// site, the way the differential oracle (internal/difftest) encodes the
+// semantic ones over every generated workload.
 //
 // The suite:
 //
@@ -18,8 +19,6 @@
 //   - obsdirect: no obs.Registry lookups reachable from the commit path;
 //     commit-path metrics must go through direct pointers resolved at
 //     construction. Mechanizes the `make bench-obs` +0-alloc constraint.
-//   - freezethaw: every Freeze() is paired with a Thaw() on all return
-//     paths of the same function (defer or path-complete explicit calls).
 //   - errprefix: every errors.New / fmt.Errorf in internal/... carries a
 //     recognized subsystem prefix or wraps a cause via %w.
 //   - valuecompare: no ==/!= on sqltypes.Value outside internal/sqltypes
@@ -35,15 +34,62 @@
 // mandatory; the tintinallow analyzer reports malformed directives.
 package lint
 
-import "golang.org/x/tools/go/analysis"
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+)
+
+// An Analyzer is one check of the suite. Its name is what //tintin:allow
+// directives refer to.
+type Analyzer struct {
+	Name string
+	run  func(*pass)
+}
+
+// pass is one analyzer's view of one type-checked package.
+type pass struct {
+	analyzer *Analyzer
+	fset     *token.FileSet
+	files    []*ast.File
+	pkg      *types.Package
+	info     *types.Info
+	allow    *allowIndex
+	// facts is the analyzer's object facts, shared by every package of
+	// one run. Packages are analyzed dependencies first, so a fact about
+	// an imported function is in place before any caller is analyzed.
+	facts  map[types.Object]string
+	report func(pos token.Pos, msg string)
+}
+
+// reportf emits a diagnostic unless a //tintin:allow directive covers it.
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
+	if p.allow.allows(p.analyzer.Name, pos) {
+		return
+	}
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// inspect calls visit for every node of every file of the package, in
+// depth-first order.
+func inspect(pass *pass, visit func(ast.Node)) {
+	for _, f := range pass.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if n != nil {
+				visit(n)
+			}
+			return true
+		})
+	}
+}
 
 // Analyzers returns the full tintinvet suite in a stable order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		AllowAnalyzer,
 		HotPathCompileAnalyzer,
 		ObsDirectAnalyzer,
-		FreezeThawAnalyzer,
 		ErrPrefixAnalyzer,
 		ValueCompareAnalyzer,
 		NoDeterminismAnalyzer,
@@ -54,7 +100,6 @@ func Analyzers() []*analysis.Analyzer {
 var analyzerNames = map[string]bool{
 	"hotpathcompile": true,
 	"obsdirect":      true,
-	"freezethaw":     true,
 	"errprefix":      true,
 	"valuecompare":   true,
 	"nodeterminism":  true,

@@ -1,118 +1,63 @@
-// Package linttest is a self-contained analysistest equivalent for the
-// tintinvet analyzers.
+// Package linttest pins the tintinvet analyzers against seeded-violation
+// fixtures: it runs the lint driver over fixture packages and diffs the
+// diagnostics against `// want` comments, analysistest's convention:
 //
-// x/tools' analysistest depends on go/packages, which this repo does not
-// vendor; the subset of its behavior the lint suite needs — load a
-// seeded-violation fixture package, run analyzers over it with
-// cross-package fact propagation, and diff diagnostics against `// want`
-// comments — is small enough to implement directly on the toolchain:
-//
-//   - `go list -e -export -deps -json` resolves the fixture and all its
-//     dependencies, with compiled export data for every out-of-tree dep;
-//   - fixture packages (anything under a testdata directory) are parsed
-//     and type-checked from source, sharing one FileSet and importer so
-//     types.Object identities line up across packages;
-//   - analyzers run over each fixture package in dependency order with an
-//     in-memory fact store standing in for vet's .vetx files.
-//
-// Diagnostic expectations use analysistest's comment convention:
-//
-//	db.Freeze() // want `Freeze\(\) without Thaw`
+//	_ = a == b // want `== on sqltypes\.Value`
 //
 // Every diagnostic must match a want regexp on its line and vice versa.
+// Wants are read from every .go file in the fixture directories, test
+// files included, so a fixture can pin what the driver reports there.
 package linttest
 
 import (
-	"encoding/json"
-	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"tintin/internal/lint"
 )
 
-// listedPackage is the slice of `go list -json` output the loader uses.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	Standard   bool
-	Error      *struct{ Err string }
-	DepsErrors []*struct{ Err string }
-}
-
-// sourcePackage is a fixture package type-checked from source.
-type sourcePackage struct {
-	listed *listedPackage
-	files  []*ast.File
-	pkg    *types.Package
-	info   *types.Info
-}
-
-// Run loads the fixture packages at the given module-root-relative
-// directories (plus their in-testdata dependencies), runs the analyzers
-// over each in dependency order, and matches diagnostics against `// want`
-// comments. Diagnostics suppressed by //tintin:allow never reach Report,
-// so a suppressed fixture line simply carries no want comment.
-func Run(t *testing.T, analyzers []*analysis.Analyzer, dirs ...string) {
+// Run runs the analyzers over the fixture packages at the given
+// module-root-relative directories (plus, for facts, their dependencies)
+// and matches diagnostics against `// want` comments. Diagnostics
+// suppressed by //tintin:allow never reach the driver's output, so a
+// suppressed fixture line simply carries no want comment.
+func Run(t *testing.T, analyzers []*lint.Analyzer, dirs ...string) {
 	t.Helper()
-	root := moduleRoot(t)
-
-	listed := goList(t, root, dirs)
-	fset := token.NewFileSet()
-	imp := &hybridImporter{
-		exports: map[string]string{},
-		source:  map[string]*types.Package{},
+	root := ModuleRoot(t)
+	diags, err := lint.Run(root, analyzers, dirs...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	imp.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := imp.exports[path]
-		if !ok || f == "" {
-			return nil, fmt.Errorf("linttest: no export data for %q", path)
+	wants := readWants(t, root, dirs)
+	for _, d := range diags {
+		k := wantKey{d.Pos.Filename, d.Pos.Line}
+		matched := false
+		for i, rx := range wants[k] {
+			if rx.MatchString(d.Message) {
+				wants[k] = append(wants[k][:i], wants[k][i+1:]...)
+				matched = true
+				break
+			}
 		}
-		return os.Open(f)
-	})
-
-	// go list -deps emits dependencies before dependents, which is
-	// exactly the order source type-checking and fact propagation need.
-	var fixtures []*sourcePackage
-	for _, lp := range listed {
-		if lp.Error != nil {
-			t.Fatalf("go list %s: %s", lp.ImportPath, lp.Error.Err)
+		if !matched {
+			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 		}
-		if !strings.Contains(lp.ImportPath, "/testdata/") {
-			imp.exports[lp.ImportPath] = lp.Export
-			continue
+	}
+	for k, rest := range wants {
+		for _, rx := range rest {
+			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, rx)
 		}
-		fixtures = append(fixtures, typeCheck(t, fset, imp, lp))
 	}
-	if len(fixtures) == 0 {
-		t.Fatalf("no fixture packages under testdata in %v", dirs)
-	}
-
-	facts := newFactStore()
-	var diags []analysis.Diagnostic
-	for _, sp := range fixtures {
-		diags = append(diags, runAnalyzers(t, fset, sp, analyzers, facts)...)
-	}
-	matchWants(t, fset, fixtures, diags)
 }
 
-// moduleRoot walks up from the test's working directory to go.mod.
-func moduleRoot(t *testing.T) string {
+// ModuleRoot walks up from the test's working directory to go.mod.
+func ModuleRoot(t *testing.T) string {
 	t.Helper()
 	dir, err := os.Getwd()
 	if err != nil {
@@ -130,192 +75,29 @@ func moduleRoot(t *testing.T) string {
 	}
 }
 
-// goList resolves dirs and their dependency closure with export data.
-func goList(t *testing.T, root string, dirs []string) []*listedPackage {
-	t.Helper()
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard,Error,DepsErrors"}, dirs...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	out, err := cmd.Output()
-	if err != nil {
-		msg := ""
-		if ee, ok := err.(*exec.ExitError); ok {
-			msg = string(ee.Stderr)
-		}
-		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, msg)
-	}
-	var pkgs []*listedPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
-		lp := new(listedPackage)
-		if err := dec.Decode(lp); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatalf("decoding go list output: %v", err)
-		}
-		pkgs = append(pkgs, lp)
-	}
-	return pkgs
-}
-
-// hybridImporter resolves fixture imports from the source-checked set and
-// everything else from compiled export data.
-type hybridImporter struct {
-	gc      types.Importer
-	exports map[string]string
-	source  map[string]*types.Package
-}
-
-func (i *hybridImporter) Import(path string) (*types.Package, error) {
-	if p, ok := i.source[path]; ok {
-		return p, nil
-	}
-	return i.gc.Import(path)
-}
-
-// typeCheck parses and checks one fixture package from source.
-func typeCheck(t *testing.T, fset *token.FileSet, imp *hybridImporter, lp *listedPackage) *sourcePackage {
-	t.Helper()
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(lp.ImportPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("type-checking fixture %s: %v", lp.ImportPath, err)
-	}
-	imp.source[lp.ImportPath] = pkg
-	return &sourcePackage{listed: lp, files: files, pkg: pkg, info: info}
-}
-
-// factStore is the in-memory stand-in for vet's serialized fact files.
-// All fixture packages share one type-checking universe, so facts can be
-// keyed by object identity directly.
-type factStore struct {
-	obj map[types.Object][]analysis.Fact
-	pkg map[*types.Package][]analysis.Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{obj: map[types.Object][]analysis.Fact{}, pkg: map[*types.Package][]analysis.Fact{}}
-}
-
-// get copies a stored fact of dst's concrete type into dst.
-func getFact(stored []analysis.Fact, dst analysis.Fact) bool {
-	for _, f := range stored {
-		if reflect.TypeOf(f) == reflect.TypeOf(dst) {
-			reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-// setFact stores fact, replacing any existing fact of the same type.
-func setFact(stored []analysis.Fact, fact analysis.Fact) []analysis.Fact {
-	for i, f := range stored {
-		if reflect.TypeOf(f) == reflect.TypeOf(fact) {
-			stored[i] = fact
-			return stored
-		}
-	}
-	return append(stored, fact)
-}
-
-// runAnalyzers executes the analyzers (and their Requires closure) over
-// one fixture package, returning the root analyzers' diagnostics.
-func runAnalyzers(t *testing.T, fset *token.FileSet, sp *sourcePackage, roots []*analysis.Analyzer, facts *factStore) []analysis.Diagnostic {
-	t.Helper()
-	var diags []analysis.Diagnostic
-	results := map[*analysis.Analyzer]interface{}{}
-	isRoot := map[*analysis.Analyzer]bool{}
-	for _, a := range roots {
-		isRoot[a] = true
-	}
-
-	var run func(a *analysis.Analyzer)
-	run = func(a *analysis.Analyzer) {
-		if _, done := results[a]; done {
-			return
-		}
-		for _, req := range a.Requires {
-			run(req)
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      sp.files,
-			Pkg:        sp.pkg,
-			TypesInfo:  sp.info,
-			TypesSizes: types.SizesFor("gc", build.Default.GOARCH),
-			ResultOf:   map[*analysis.Analyzer]interface{}{},
-			ReadFile:   os.ReadFile,
-			Report: func(d analysis.Diagnostic) {
-				if isRoot[a] {
-					diags = append(diags, d)
-				}
-			},
-			ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
-				return getFact(facts.obj[obj], fact)
-			},
-			ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
-				facts.obj[obj] = setFact(facts.obj[obj], fact)
-			},
-			ImportPackageFact: func(pkg *types.Package, fact analysis.Fact) bool {
-				return getFact(facts.pkg[pkg], fact)
-			},
-			AllObjectFacts:  func() []analysis.ObjectFact { return nil },
-			AllPackageFacts: func() []analysis.PackageFact { return nil },
-		}
-		pass.ExportPackageFact = func(fact analysis.Fact) {
-			facts.pkg[sp.pkg] = setFact(facts.pkg[sp.pkg], fact)
-		}
-		for _, req := range a.Requires {
-			pass.ResultOf[req] = results[req]
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			t.Fatalf("analyzer %s on %s: %v", a.Name, sp.pkg.Path(), err)
-		}
-		if a.ResultType != nil && res != nil && !reflect.TypeOf(res).AssignableTo(a.ResultType) {
-			t.Fatalf("analyzer %s returned %T, want %s", a.Name, res, a.ResultType)
-		}
-		results[a] = res
-	}
-	for _, a := range roots {
-		run(a)
-	}
-	return diags
-}
-
-// wantRx extracts `// want "rx"` expectations per file line.
-var wantStringRx = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
-
 type wantKey struct {
 	file string
 	line int
 }
 
-// matchWants diffs diagnostics against the fixtures' want comments.
-func matchWants(t *testing.T, fset *token.FileSet, fixtures []*sourcePackage, diags []analysis.Diagnostic) {
+// wantStringRx extracts the quoted regexps of one `// want` comment.
+var wantStringRx = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
+
+// readWants collects the want regexps of every .go file in dirs, per line.
+func readWants(t *testing.T, root string, dirs []string) map[wantKey][]*regexp.Regexp {
 	t.Helper()
 	wants := map[wantKey][]*regexp.Regexp{}
-	for _, sp := range fixtures {
-		for _, f := range sp.files {
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		paths, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no Go files in fixture %s (%v)", dir, err)
+		}
+		for _, path := range paths {
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimPrefix(c.Text, "//")
@@ -340,25 +122,5 @@ func matchWants(t *testing.T, fset *token.FileSet, fixtures []*sourcePackage, di
 			}
 		}
 	}
-
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		k := wantKey{pos.Filename, pos.Line}
-		matched := false
-		for i, rx := range wants[k] {
-			if rx.MatchString(d.Message) {
-				wants[k] = append(wants[k][:i], wants[k][i+1:]...)
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
-		}
-	}
-	for k, rest := range wants {
-		for _, rx := range rest {
-			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, rx)
-		}
-	}
+	return wants
 }

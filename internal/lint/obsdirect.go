@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-)
+import "go/types"
 
 // ObsDirectAnalyzer enforces the observability disciplines of the commit
 // path:
@@ -19,44 +15,16 @@ import (
 //     is lifecycle-time only: recovery, checkpoints, committer start/stop.
 //
 // Both are the same reachability question, answered over the shared
-// runReach machinery with one fact type.
-var ObsDirectAnalyzer = &analysis.Analyzer{
+// runReach machinery.
+var ObsDirectAnalyzer = &Analyzer{
 	Name: "obsdirect",
-	Doc: "no obs.Registry lookups or slog calls reachable from the commit path\n\n" +
-		"Registry.Counter/Gauge/Histogram and friends are construction-time\n" +
-		"wiring: they lock the registry and intern the metric name. log/slog\n" +
-		"calls format and allocate. The commit path works against direct\n" +
-		"instrument pointers resolved at construction and never logs, keeping\n" +
-		"the instrumented hot path at +0 allocations.",
-	Requires:  []*analysis.Analyzer{AllowAnalyzer},
-	FactTypes: []analysis.Fact{(*RegistryLookupFact)(nil)},
-	Run: func(pass *analysis.Pass) (interface{}, error) {
-		return runReach(pass, reachConfig{
+	run: func(pass *pass) {
+		runReach(pass, reachConfig{
 			isIntrinsic: isObsIntrinsic,
-			importFact: func(pass *analysis.Pass, fn *types.Func) (string, bool) {
-				var f RegistryLookupFact
-				if pass.ImportObjectFact(fn, &f) {
-					return f.Chain, true
-				}
-				return "", false
-			},
-			exportFact: func(pass *analysis.Pass, fn *types.Func, chain string) {
-				pass.ExportObjectFact(fn, &RegistryLookupFact{Chain: chain})
-			},
-			verb: "is off-limits on the commit path: resolve direct instrument pointers at construction and keep logging out of safeCommit",
+			verb:        "is off-limits on the commit path: resolve direct instrument pointers at construction and keep logging out of safeCommit",
 		})
 	},
 }
-
-// RegistryLookupFact marks a function that can transitively perform an
-// obs.Registry instrument lookup or a log/slog call; Chain is a witness
-// path to it.
-type RegistryLookupFact struct{ Chain string }
-
-// AFact marks RegistryLookupFact as a serializable analysis fact.
-func (*RegistryLookupFact) AFact() {}
-
-func (f *RegistryLookupFact) String() string { return "obs intrinsic via " + f.Chain }
 
 // isObsIntrinsic identifies the banned operations: registry instrument
 // lookups and structured-logging calls.

@@ -5,9 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
 // reach.go is the shared machinery behind hotpathcompile and obsdirect:
@@ -15,17 +12,18 @@ import (
 // intrinsics?" — answered over a per-package static call graph plus object
 // facts that carry reachability summaries across package boundaries.
 //
-// Packages are analyzed dependency-first (go vet and the in-process test
-// driver both guarantee it), so the flow is bottom-up: when internal/engine
-// is analyzed, every function that transitively reaches an intrinsic (say
-// (*Engine).newExec) exports a fact with a witness chain; when
-// internal/core is analyzed later, a call from a commit-path function to
-// any fact-carrying callee is a diagnostic, positioned at that call site so
-// a //tintin:allow directive can sit on the offending line.
+// Packages are analyzed dependency-first (the driver guarantees it), so the
+// flow is bottom-up: when internal/engine is analyzed, every function that
+// transitively reaches an intrinsic (say (*Engine).newExec) gets a fact
+// with a witness chain; when internal/core is analyzed later, a call from a
+// commit-path function to any fact-carrying callee is a diagnostic,
+// positioned at that call site so a //tintin:allow directive can sit on the
+// offending line. Functions are visited in declaration order, so witness
+// chains are the same on every run.
 //
 // The graph is best-effort static: direct calls and method calls resolved
-// by typeutil.Callee. Calls through function values and interface methods
-// are invisible — acceptable for a lint gate whose job is catching the
+// by callee. Calls through function values and interface methods are
+// invisible — acceptable for a lint gate whose job is catching the
 // ordinary mistake, not proving the absence of an extraordinary one.
 // Function literals are attributed to their enclosing declaration, so a
 // deferred closure inside safeCommit is commit-path code too.
@@ -37,35 +35,60 @@ type callEdge struct {
 }
 
 // callGraph builds the package-local static call graph: every declared
-// function and method, with one edge per resolvable call in its body
-// (including calls inside nested function literals).
-func callGraph(pass *analysis.Pass) map[*types.Func][]callEdge {
-	g := make(map[*types.Func][]callEdge)
-	for _, f := range pass.Files {
+// function and method, in declaration order, with one edge per resolvable
+// call in its body (including calls inside nested function literals).
+func callGraph(pass *pass) (funcs []*types.Func, g map[*types.Func][]callEdge) {
+	g = make(map[*types.Func][]callEdge)
+	for _, f := range pass.files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			fn, ok := pass.info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
-			edges := g[fn] // nil for a body with no calls is fine
+			var edges []callEdge // nil for a body with no calls is fine
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if callee, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func); ok {
-					edges = append(edges, callEdge{callee: callee, pos: call.Pos()})
+				if call, ok := n.(*ast.CallExpr); ok {
+					if fn := callee(pass.info, call); fn != nil {
+						edges = append(edges, callEdge{callee: fn, pos: call.Pos()})
+					}
 				}
 				return true
 			})
+			funcs = append(funcs, fn)
 			g[fn] = edges
 		}
 	}
-	return g
+	return funcs, g
+}
+
+// callee returns the function or method a call names, or nil when it
+// calls a function value, a builtin or a conversion. An interface method
+// counts: it names a method, though not the one that runs.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) { // look through an explicit instantiation f[T]
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var obj types.Object
+	switch x := fun.(type) {
+	case *ast.Ident:
+		obj = info.Uses[x]
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[x]; ok {
+			obj = sel.Obj()
+		} else {
+			obj = info.Uses[x.Sel] // a qualified identifier
+		}
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
 }
 
 // reachConfig parameterizes one reachability analyzer.
@@ -73,10 +96,6 @@ type reachConfig struct {
 	// isIntrinsic reports whether calling fn directly is the banned
 	// operation, with a short human description of what it does.
 	isIntrinsic func(fn *types.Func) (string, bool)
-	// importFact / exportFact adapt the analyzer's concrete fact type.
-	// importFact returns the witness chain carried by fn's fact, if any.
-	importFact func(pass *analysis.Pass, fn *types.Func) (string, bool)
-	exportFact func(pass *analysis.Pass, fn *types.Func, chain string)
 	// verb completes the diagnostic: "<fn> (commit path via <root>) calls
 	// <chain>, which <verb>".
 	verb string
@@ -86,10 +105,10 @@ type reachConfig struct {
 // (isCommitRoot); the closure over local edges from them is "commit
 // reachable". Any edge from commit-reachable code to an intrinsic or
 // fact-carrying callee is reported at the call site. Independently, every
-// local function that can reach an intrinsic exports a fact so downstream
-// packages see through this one.
-func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
-	g := callGraph(pass)
+// local function that can reach an intrinsic gets a fact — its witness
+// chain — so downstream packages see through this one.
+func runReach(pass *pass, cfg reachConfig) {
+	funcs, g := callGraph(pass)
 
 	// calleeChain returns the witness chain for an edge that directly
 	// hits the invariant: the callee is an intrinsic, or carries a fact
@@ -98,19 +117,17 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 		if desc, ok := cfg.isIntrinsic(callee); ok {
 			return funcLabel(callee) + " (" + desc + ")", true
 		}
-		if callee.Pkg() == pass.Pkg {
+		if callee.Pkg() == pass.pkg {
 			// Local callees are handled by the package-level fixpoint
 			// (and reported at their own deeper call sites), not via the
 			// facts this very pass exported moments ago.
 			return "", false
 		}
-		if chain, ok := cfg.importFact(pass, callee); ok {
+		if chain, ok := pass.facts[callee]; ok {
 			return funcLabel(callee) + " → " + chain, true
 		}
-		if orig := callee.Origin(); orig != callee {
-			if chain, ok := cfg.importFact(pass, orig); ok {
-				return funcLabel(callee) + " → " + chain, true
-			}
+		if chain, ok := pass.facts[callee.Origin()]; ok {
+			return funcLabel(callee) + " → " + chain, true
 		}
 		return "", false
 	}
@@ -120,11 +137,11 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 	reaches := make(map[*types.Func]string)
 	for changed := true; changed; {
 		changed = false
-		for fn, edges := range g {
+		for _, fn := range funcs {
 			if _, done := reaches[fn]; done {
 				continue
 			}
-			for _, e := range edges {
+			for _, e := range g[fn] {
 				if chain, ok := calleeChain(e.callee); ok {
 					reaches[fn] = chain
 					changed = true
@@ -139,7 +156,7 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 		}
 	}
 	for fn, chain := range reaches {
-		cfg.exportFact(pass, fn, chain)
+		pass.facts[fn] = chain
 	}
 
 	// Top-down: forward closure from the commit-path roots over local
@@ -147,7 +164,7 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 	type rooted struct{ via string }
 	commit := make(map[*types.Func]rooted)
 	var queue []*types.Func
-	for fn := range g {
+	for _, fn := range funcs {
 		if isCommitRoot(fn) {
 			commit[fn] = rooted{via: fn.Name()}
 			queue = append(queue, fn)
@@ -172,12 +189,11 @@ func runReach(pass *analysis.Pass, cfg reachConfig) (interface{}, error) {
 	for fn, r := range commit {
 		for _, e := range g[fn] {
 			if chain, ok := calleeChain(e.callee); ok {
-				reportf(pass, e.pos, "%s (commit path via %s) calls %s, which %s",
+				pass.reportf(e.pos, "%s (commit path via %s) calls %s, which %s",
 					fn.Name(), r.via, chain, cfg.verb)
 			}
 		}
 	}
-	return nil, nil
 }
 
 // isCommitRoot reports whether fn is a commit-path entry point: the
@@ -226,7 +242,7 @@ func funcLabel(fn *types.Func) string {
 
 // pathHasSuffix reports whether pkg path is exactly suffix or ends with
 // "/"+suffix. Matching by suffix keeps the analyzers honest over their
-// analysistest fixtures, which mirror the repo layout under testdata.
+// fixtures, which mirror the repo layout under testdata.
 func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }

@@ -4,10 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 )
 
 // ValueCompareAnalyzer flags ==/!= (and switch cases, which compare the
@@ -18,44 +14,34 @@ import (
 // bug where a deleted (1, NULL) row never matched itself. Use
 // sqltypes.Compare / Value.Equal (NULL-aware) or, for row-identity
 // matching where NULL must match NULL, the encoded-key comparison.
-var ValueCompareAnalyzer = &analysis.Analyzer{
-	Name: "valuecompare",
-	Doc: "no ==/!= on sqltypes.Value outside internal/sqltypes\n\n" +
-		"Struct equality ignores SQL's tri-valued NULL semantics and kind\n" +
-		"coercion (1 == 1.0). Only internal/sqltypes may compare raw\n" +
-		"representations; everyone else goes through its comparison API.",
-	Requires: []*analysis.Analyzer{AllowAnalyzer, inspect.Analyzer},
-	Run:      runValueCompare,
-}
+var ValueCompareAnalyzer = &Analyzer{Name: "valuecompare", run: runValueCompare}
 
-func runValueCompare(pass *analysis.Pass) (interface{}, error) {
-	if pathHasSuffix(pass.Pkg.Path(), "internal/sqltypes") {
-		return nil, nil // the one package allowed to see the representation
+func runValueCompare(pass *pass) {
+	if pathHasSuffix(pass.pkg.Path(), "internal/sqltypes") {
+		return // the one package allowed to see the representation
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.BinaryExpr)(nil), (*ast.SwitchStmt)(nil)}, func(n ast.Node) {
+	inspect(pass, func(n ast.Node) {
 		switch x := n.(type) {
 		case *ast.BinaryExpr:
 			if x.Op != token.EQL && x.Op != token.NEQ {
 				return
 			}
 			if isSQLValue(pass, x.X) || isSQLValue(pass, x.Y) {
-				reportf(pass, x.OpPos,
+				pass.reportf(x.OpPos,
 					"%s on sqltypes.Value compares raw representations; use the NULL-aware sqltypes comparison API", x.Op)
 			}
 		case *ast.SwitchStmt:
 			if x.Tag != nil && isSQLValue(pass, x.Tag) {
-				reportf(pass, x.Switch,
+				pass.reportf(x.Switch,
 					"switch on sqltypes.Value compares raw representations; use the NULL-aware sqltypes comparison API")
 			}
 		}
 	})
-	return nil, nil
 }
 
 // isSQLValue reports whether e's type is the sqltypes Value struct.
-func isSQLValue(pass *analysis.Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
+func isSQLValue(pass *pass, e ast.Expr) bool {
+	t := pass.info.TypeOf(e)
 	if t == nil {
 		return false
 	}

@@ -63,9 +63,8 @@ func TestPoolRunsEveryPlanShape(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		db.Freeze()
-		outs := pool.RunSpan(tasks, nil)
-		db.Thaw()
+		var outs []sched.Outcome
+		db.WhileFrozen(func() { outs = pool.RunSpan(tasks, nil) })
 		for i, out := range outs {
 			if out.Err != nil {
 				t.Fatalf("round %d, %s: %v", round, run[i], out.Err)

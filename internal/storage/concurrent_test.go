@@ -157,9 +157,9 @@ func TestConcurrentProbesPrivateScratch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFreezeBlocksWrites: a frozen database rejects every write path and
-// resumes normally after Thaw.
-func TestFreezeBlocksWrites(t *testing.T) {
+// frozenTestDB returns a database holding one empty table t(a INTEGER).
+func frozenTestDB(t *testing.T) *DB {
+	t.Helper()
 	db := NewDB("d")
 	s, err := NewSchema("t", []Column{{Name: "a", Type: sqltypes.KindInt}}, nil, nil)
 	if err != nil {
@@ -168,30 +168,81 @@ func TestFreezeBlocksWrites(t *testing.T) {
 	if _, err := db.CreateTable(s); err != nil {
 		t.Fatal(err)
 	}
-	db.Freeze()
-	if !db.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
+	return db
+}
+
+// TestFreezeBlocksWrites: inside WhileFrozen the database rejects every
+// write path, and it resumes normally once WhileFrozen returns.
+func TestFreezeBlocksWrites(t *testing.T) {
+	db := frozenTestDB(t)
+	ran := false
+	db.WhileFrozen(func() {
+		ran = true
+		if !db.Frozen() {
+			t.Error("Frozen() false inside WhileFrozen")
+		}
+		if err := db.Insert("t", sqltypes.Row{ci(1)}); err == nil {
+			t.Error("Insert succeeded on frozen db")
+		}
+		if _, err := db.DeleteWhere("t", func(sqltypes.Row) bool { return true }); err == nil {
+			t.Error("DeleteWhere succeeded on frozen db")
+		}
+		if _, err := db.DeleteRows("t", nil); err == nil {
+			t.Error("DeleteRows succeeded on frozen db")
+		}
+		if err := db.ApplyEvents(); err == nil {
+			t.Error("ApplyEvents succeeded on frozen db")
+		}
+		// Void-returning mutators must fail loudly (panic), not race.
+		mustPanic(t, "TruncateEvents", func() { db.TruncateEvents() })
+		mustPanic(t, "NormalizeEvents", func() { db.NormalizeEvents() })
+	})
+	if !ran {
+		t.Fatal("WhileFrozen did not run its function")
 	}
-	if err := db.Insert("t", sqltypes.Row{ci(1)}); err == nil {
-		t.Fatal("Insert succeeded on frozen db")
+	if db.Frozen() {
+		t.Fatal("Frozen() true after WhileFrozen returned")
 	}
-	if _, err := db.DeleteWhere("t", func(sqltypes.Row) bool { return true }); err == nil {
-		t.Fatal("DeleteWhere succeeded on frozen db")
-	}
-	if _, err := db.DeleteRows("t", nil); err == nil {
-		t.Fatal("DeleteRows succeeded on frozen db")
-	}
-	if err := db.ApplyEvents(); err == nil {
-		t.Fatal("ApplyEvents succeeded on frozen db")
-	}
-	// Void-returning mutators must fail loudly (panic), not race.
-	mustPanic(t, "TruncateEvents", func() { db.TruncateEvents() })
-	mustPanic(t, "NormalizeEvents", func() { db.NormalizeEvents() })
-	db.Thaw()
 	if err := db.Insert("t", sqltypes.Row{ci(1)}); err != nil {
-		t.Fatalf("Insert after Thaw: %v", err)
+		t.Fatalf("Insert after WhileFrozen: %v", err)
 	}
 	db.TruncateEvents() // no event tables: a no-op, but must not panic now
+}
+
+// TestWhileFrozenThawsOnPanic: a panic escaping fn still thaws the
+// database, so the writes after the recover succeed.
+func TestWhileFrozenThawsOnPanic(t *testing.T) {
+	db := frozenTestDB(t)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic inside WhileFrozen did not propagate")
+			}
+		}()
+		db.WhileFrozen(func() { panic("check failed") })
+	}()
+	if db.Frozen() {
+		t.Fatal("database left frozen after a panic inside WhileFrozen")
+	}
+	if err := db.Insert("t", sqltypes.Row{ci(1)}); err != nil {
+		t.Fatalf("Insert after panic: %v", err)
+	}
+	db.TruncateEvents()
+	db.NormalizeEvents()
+}
+
+// TestWhileFrozenAllocFree: freezing is free, and the closure the commit
+// path hands WhileFrozen stays on the stack.
+func TestWhileFrozenAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	db := frozenTestDB(t)
+	n := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		db.WhileFrozen(func() { n++ })
+	})
+	if allocs != 0 || n == 0 {
+		t.Fatalf("WhileFrozen: %.1f allocs/op over %d calls, want 0", allocs, n)
+	}
 }
 
 // TestApplyEventsAtomic: a replay that would fail (duplicate primary key

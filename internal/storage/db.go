@@ -41,6 +41,10 @@ func IsEventTable(name string) (base string, isIns, ok bool) {
 // the base tables: insertions land in ins_T and deletions in del_T, exactly
 // like the paper's INSTEAD OF triggers. ApplyEvents later replays them onto
 // the base tables.
+//
+// Inside WhileFrozen — the only way to freeze it — the database is an
+// immutable snapshot: its DB-level writes fail, and any number of
+// goroutines may read it.
 type DB struct {
 	Name string
 
@@ -57,9 +61,9 @@ type DB struct {
 
 	// frozen marks the database as an immutable snapshot view: while set,
 	// the DB-level write paths (Insert, DeleteWhere, DeleteRows, ApplyEvents,
-	// TruncateEvents, NormalizeEvents) fail loudly. The parallel
-	// commit-check scheduler freezes the database for the duration of a
-	// fan-out so a stray write through those paths (a bug, by
+	// TruncateEvents, NormalizeEvents) fail loudly. WhileFrozen is the only
+	// way to set it: the parallel commit check runs its fan-out inside one,
+	// so a stray write through those paths (a bug, by
 	// construction) errors or panics instead of racing the readers. The
 	// guard does not extend to direct Table-method mutations — callers
 	// holding a *Table must not write during a fan-out.
@@ -280,20 +284,25 @@ func (db *DB) SetCapture(on bool) error {
 // CaptureEnabled reports whether updates are being captured.
 func (db *DB) CaptureEnabled() bool { return db.capture }
 
-// Freeze marks the database as an immutable snapshot view until Thaw:
-// Insert, DeleteWhere, DeleteRows and ApplyEvents fail while frozen, and the
-// void-returning mutators (TruncateEvents, NormalizeEvents) panic — a
-// write during an in-flight parallel check is a programming error by
+// WhileFrozen runs fn with the database frozen as an immutable snapshot
+// view: Insert, DeleteWhere, DeleteRows and ApplyEvents fail while frozen,
+// and the void-returning mutators (TruncateEvents, NormalizeEvents) panic —
+// a write during an in-flight parallel check is a programming error by
 // construction, and failing loudly beats silently racing the readers.
 // The guard covers these DB-level paths (everything the engine and the
 // tool write through), not direct Table-method mutations. Concurrent
 // readers (scans and index probes with per-caller scratch) are safe over
 // a frozen database; this is the contract the parallel commit-check
 // scheduler relies on.
-func (db *DB) Freeze() { db.frozen.Store(true) }
-
-// Thaw lifts a Freeze, re-enabling writes.
-func (db *DB) Thaw() { db.frozen.Store(false) }
+//
+// The thaw is deferred, so a panic escaping fn cannot leave the database
+// frozen. Calls do not nest: the inner call's thaw would end the outer
+// freeze.
+func (db *DB) WhileFrozen(fn func()) {
+	db.frozen.Store(true)
+	defer db.frozen.Store(false)
+	fn()
+}
 
 // Frozen reports whether the database is currently an immutable snapshot.
 func (db *DB) Frozen() bool { return db.frozen.Load() }
