@@ -38,11 +38,12 @@ test-race:
 
 ## fuzz: budgeted smoke run of the fuzz targets — the differential oracle
 ## (incremental vs baseline verdicts across all commit-check modes), the
-## group-commit attribution stream, the parser round-trip property, the
-## injectivity of the hash-key encoding (equal keys ⇔ identical rows), the
-## persisted value codec's exact round trip, and hostile bytes fed to the WAL
-## record and snapshot decoders (error or decode, never panic or
-## over-allocate; what decodes re-encodes to the same state).
+## group-commit verdicts of a multi-session stream, the parser round-trip
+## property, the injectivity of the hash-key encoding (equal keys ⇔
+## identical rows), the persisted value codec's exact round trip, and
+## hostile bytes fed to the WAL record and snapshot decoders (error or
+## decode, never panic or over-allocate; what decodes re-encodes to the
+## same state).
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s

@@ -1,20 +1,29 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
+	"tintin/internal/obs"
 	"tintin/internal/sched"
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
+	"tintin/internal/tpch"
 )
 
 // newAttrTool builds a minimal schema for driving commitBatch directly: an
 // account table with a positive-balance assertion, pre-seeded so deltas can
-// also delete.
+// also delete. Metrics are wired so checkPasses can count safeCommits.
 func newAttrTool(t *testing.T) *Tool {
 	t.Helper()
 	db := storage.NewDB("attr")
-	tool := New(db, DefaultOptions())
+	opts := DefaultOptions()
+	opts.Metrics = obs.NewRegistry()
+	tool := New(db, opts)
 	if _, err := tool.Engine().ExecSQL(`
 		CREATE TABLE acct (a_id INTEGER PRIMARY KEY, a_balance REAL NOT NULL);
 		INSERT INTO acct VALUES (1, 10.0), (2, 20.0);
@@ -38,19 +47,15 @@ func insDelta(id int64, balance float64) sched.Delta {
 	}}}
 }
 
-// checkCounter counts safeCommit passes by wrapping Check through the
-// engine's registered procedure? No — commitBatch calls SafeCommit
-// directly, so the test counts Check invocations via the plan cache's hit
-// counter instead: every batch/group/individual pass executes the same
-// single compiled view exactly once.
+// checkPasses counts the safeCommit passes the tool has run, committed or
+// rejected.
 func checkPasses(t *Tool) int {
-	return t.Engine().PlanCacheStats().Hits
+	return int(t.met.commits.Value() + t.met.rejects.Value())
 }
 
 // TestCommitBatchAttribution: in a batch where exactly one delta violates,
-// the violating rows implicate that delta alone; the clean majority commits
-// in ONE group pass instead of per-delta re-checks, and the guilty delta is
-// rejected with its own violation.
+// the guilty delta is rejected with its own violation, the clean deltas
+// commit, and bisection pays 1 + 2⌈log2 4⌉ = 5 passes.
 func TestCommitBatchAttribution(t *testing.T) {
 	tool := newAttrTool(t)
 	batch := []sched.Delta{
@@ -82,10 +87,10 @@ func TestCommitBatchAttribution(t *testing.T) {
 			t.Fatalf("clean delta %d rejected: %v", i, ack.Res.Violations)
 		}
 	}
-	// Three passes: rejected batch check, clean-group check, guilty
-	// individual re-check. The old fallback paid 1 + len(batch) = 5.
-	if passes != 3 {
-		t.Fatalf("attribution ran %d view evaluations, want 3 (batch, group, guilty)", passes)
+	// The rejected batch, then [10 11] rejected and [12 13] committed, then
+	// [10] committed and [11] rejected.
+	if passes != 5 {
+		t.Fatalf("bisection ran %d passes, want 5", passes)
 	}
 	// The clean inserts must actually be in the base table.
 	for _, id := range []int64{10, 12, 13} {
@@ -98,8 +103,8 @@ func TestCommitBatchAttribution(t *testing.T) {
 	}
 }
 
-// TestCommitBatchAttributionAllClean: a clean batch still commits in a
-// single pass (attribution never fires).
+// TestCommitBatchAttributionAllClean: a clean batch commits in a single
+// pass.
 func TestCommitBatchAttributionAllClean(t *testing.T) {
 	tool := newAttrTool(t)
 	before := checkPasses(tool)
@@ -117,48 +122,150 @@ func TestCommitBatchAttributionAllClean(t *testing.T) {
 	}
 }
 
-// TestCommitBatchAttributionMiss: when attribution implicates nobody the
-// batch degrades to the per-delta fallback and still reaches correct
-// verdicts. A delta violating via a row whose key columns never appear in
-// the violation output is impossible for single-table inserts, so the miss
-// is forced directly through resolveRejected with a doctored result.
-func TestCommitBatchAttributionMiss(t *testing.T) {
-	tool := newAttrTool(t)
-	batch := []sched.Delta{insDelta(30, 3.0), insDelta(31, -1.0)}
-	// Doctored rejection: violations that match no delta's key values.
-	fake := &CommitResult{Violations: []Violation{{
-		Assertion: "positivebalance",
-		Rows:      []sqltypes.Row{{sqltypes.NewInt(999999)}},
-	}}}
-	acks := make([]sched.Ack[*CommitResult], len(batch))
-	tool.resolveRejected(nil, batch, fake, acks)
-	if !acks[0].Res.Committed {
-		t.Fatalf("clean delta rejected on attribution miss: %+v", acks[0].Res)
+// TestCommitBatchExact: for every batch size and guilt pattern, each
+// delta's verdict from one commitBatch equals the verdict it gets committed
+// alone, in submission order, on a twin tool; the two databases end equal;
+// and the passes stay within min(2n−1, 1 + 2k⌈log2 n⌉) for k deltas that
+// do not commit.
+func TestCommitBatchExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shapes := []struct {
+		name   string
+		guilty func(i, n int) bool
+	}{
+		{"none", func(i, n int) bool { return false }},
+		{"first", func(i, n int) bool { return i == 0 }},
+		{"last", func(i, n int) bool { return i == n-1 }},
+		{"all", func(i, n int) bool { return true }},
+		{"alternate", func(i, n int) bool { return i%2 == 1 }},
+		{"random", func(i, n int) bool { return rng.Intn(4) == 0 }},
 	}
-	if acks[1].Res.Committed {
-		t.Fatal("guilty delta committed on attribution miss")
+	for _, n := range []int{1, 2, 3, 5, 8, 64} {
+		for _, sh := range shapes {
+			batch := make([]sched.Delta, n)
+			for i := range batch {
+				balance := 1.0
+				if sh.guilty(i, n) {
+					balance = -1
+				}
+				batch[i] = insDelta(int64(100+i), balance)
+			}
+			t.Run(fmt.Sprintf("n=%d/%s", n, sh.name), func(t *testing.T) { checkExact(t, batch) })
+		}
+		batch := make([]sched.Delta, n)
+		for i := range batch {
+			batch[i] = insDelta(int64(100+i), 1)
+		}
+		batch[n/2] = sched.Delta{Ops: []sched.Op{{Table: "nosuch", Row: sqltypes.Row{sqltypes.NewInt(1)}}}}
+		t.Run(fmt.Sprintf("n=%d/unknown-table", n), func(t *testing.T) { checkExact(t, batch) })
 	}
 }
 
-// TestViolationKeySetAndImplication unit-tests the attribution primitives:
-// PK values implicate, unrelated values do not.
-func TestViolationKeySetAndImplication(t *testing.T) {
-	tool := newAttrTool(t)
-	viols := []Violation{{
-		Rows: []sqltypes.Row{{sqltypes.NewInt(11), sqltypes.NewFloat(-7.5)}},
-	}}
-	keys := violationKeySet(viols)
-	if !tool.deltaImplicated(insDelta(11, -7.5), keys) {
-		t.Fatal("delta writing the violating PK not implicated")
+// checkExact commits batch through commitBatch on one tool and delta by
+// delta on a twin, and compares verdicts, final state and pass count.
+func checkExact(t *testing.T, batch []sched.Delta) {
+	t.Helper()
+	group, serial := newAttrTool(t), newAttrTool(t)
+	acks, err := group.commitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tool.deltaImplicated(insDelta(12, 4.0), keys) {
-		t.Fatal("unrelated delta implicated")
+	k := 0
+	for i, d := range batch {
+		alone, err := serial.commitBatch([]sched.Delta{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := verdict(alone[0])
+		if got := verdict(acks[i]); got != want {
+			t.Errorf("delta %d: batch verdict %q, alone %q", i, got, want)
+		}
+		if alone[0].Err != nil || !alone[0].Res.Committed {
+			k++
+		}
 	}
-	// A float that happens to equal an int key must not cross types.
-	if tool.deltaImplicated(sched.Delta{Ops: []sched.Op{{
-		Table: "nosuch",
-		Row:   sqltypes.Row{sqltypes.NewString("x")},
-	}}}, keys) {
-		t.Fatal("unknown-table delta with unrelated values implicated")
+	if got, want := acctRows(group), acctRows(serial); got != want {
+		t.Errorf("state mismatch:\nbatch: %s\nalone: %s", got, want)
+	}
+	n := len(batch)
+	bound := min(2*n-1, 1+2*k*bits.Len(uint(n-1)))
+	if got := checkPasses(group); got > bound {
+		t.Errorf("%d passes for %d deltas with %d rejected, bound %d", got, n, k, bound)
+	}
+}
+
+// verdict renders an ack as what its session observes: the error, or the
+// commit flag with every violating tuple.
+func verdict(ack sched.Ack[*CommitResult]) string {
+	if ack.Err != nil {
+		return "error: " + ack.Err.Error()
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "committed=%v", ack.Res.Committed)
+	for _, v := range ack.Res.Violations {
+		fmt.Fprintf(&b, "; %s/%s", v.Assertion, v.EDC)
+		for _, row := range v.Rows {
+			b.WriteString(" " + row.String())
+		}
+	}
+	return b.String()
+}
+
+func acctRows(t *Tool) string {
+	var rows []string
+	t.DB().MustTable("acct").Scan(func(row sqltypes.Row) bool {
+		rows = append(rows, row.String())
+		return true
+	})
+	sort.Strings(rows)
+	return strings.Join(rows, " ")
+}
+
+// TestCommitBatchTPCHNegativeQuantity: on the paper's schema with its seven
+// assertions, eight sessions each insert one order with line number 1, and
+// one of those line items has a negative quantity. Bisection finds it in
+// 1 + 2⌈log2 8⌉ = 7 passes.
+func TestCommitBatchTPCHNegativeQuantity(t *testing.T) {
+	db, _, err := tpch.NewDatabase("tpc", tpch.ScaleOrders("tiny", 300), 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Metrics = obs.NewRegistry()
+	tool := New(db, opts)
+	if err := tool.Install(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range tpch.ComplexityAssertions() {
+		if _, err := tool.AddAssertion(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const guilty = 5
+	batch := make([]sched.Delta, 8)
+	for i := range batch {
+		o, qty := 1000000+i, 5
+		if i == guilty {
+			qty = -3
+		}
+		batch[i] = sched.Delta{Ops: []sched.Op{
+			{Table: "orders", Row: sqltypes.Row{iv(o), iv(i), fv(50)}},
+			{Table: "lineitem", Row: sqltypes.Row{iv(o), iv(1), iv(0), iv(0), iv(qty)}},
+		}}
+	}
+	acks, err := tool.commitBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ack := range acks {
+		if ack.Err != nil {
+			t.Fatalf("delta %d: %v", i, ack.Err)
+		}
+		if ack.Res.Committed != (i != guilty) {
+			t.Errorf("delta %d: committed=%v, violations %v", i, ack.Res.Committed, ack.Res.Violations)
+		}
+	}
+	if got := checkPasses(tool); got > 7 {
+		t.Fatalf("%d passes, want at most 7", got)
 	}
 }

@@ -74,15 +74,16 @@ type Options struct {
 	// applied batches. 0 = every 256 batches; negative = only on Close or
 	// an explicit Checkpoint call.
 	CheckpointEvery int
-	// FaultInjector, when set, simulates crashes at named WAL points
-	// (tests only; see wal.Injector).
-	FaultInjector *wal.Injector
 	// Logger receives structured lifecycle events — durable recovery,
 	// checkpoints, torn-tail truncations, group-committer lifecycle — via
 	// the nil-safe obs.Logger. Nil disables logging; the commit hot path
 	// never logs either way (the obsdirect analyzer rejects log/slog calls
 	// reachable from safeCommit, excepting reasoned waivers).
 	Logger *obs.Logger
+
+	// faultInjector, when set, simulates crashes at named WAL points (see
+	// wal.Injector); only this package's tests set it.
+	faultInjector *wal.Injector
 }
 
 // DefaultOptions enables everything, matching the paper's tool.

@@ -40,7 +40,7 @@ func checkpointPeriod(opts Options) int {
 func storeOptions(opts Options) wal.Options {
 	o := wal.Options{
 		Sync:     opts.Fsync,
-		Injector: opts.FaultInjector,
+		Injector: opts.faultInjector,
 		Logger:   opts.Logger,
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -263,7 +263,7 @@ func (t *Tool) Close() error {
 		return nil
 	}
 	var cerr error
-	if !t.opts.FaultInjector.Crashed() {
+	if !t.opts.faultInjector.Crashed() {
 		cerr = t.Checkpoint()
 	}
 	closeErr := t.wal.store.Close()

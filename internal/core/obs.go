@@ -30,10 +30,6 @@ type toolMetrics struct {
 	normalizeNS  *obs.Histogram // event-normalization latency
 	applyNS      *obs.Histogram // event-apply latency on commit
 
-	attribImplicated *obs.Counter // deltas implicated by violation attribution
-	attribRechecks   *obs.Counter // individual re-checks attribution triggered
-	attribFallbacks  *obs.Counter // attributions that degraded to per-delta
-
 	// perView caches each view's check histogram; only the commit
 	// coordinator touches the map, so it needs no lock.
 	perView map[string]*obs.Histogram
@@ -55,9 +51,6 @@ func (t *Tool) initMetrics(reg *obs.Registry) {
 	m.checkNS = reg.Histogram("tintin_check_ns")
 	m.normalizeNS = reg.Histogram("tintin_normalize_ns")
 	m.applyNS = reg.Histogram("tintin_apply_ns")
-	m.attribImplicated = reg.Counter("tintin_commit_attrib_implicated_total")
-	m.attribRechecks = reg.Counter("tintin_commit_attrib_rechecks_total")
-	m.attribFallbacks = reg.Counter("tintin_commit_attrib_fallbacks_total")
 	m.perView = make(map[string]*obs.Histogram)
 
 	// The engine already counts plan-cache traffic (atomically, see

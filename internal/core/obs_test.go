@@ -114,8 +114,8 @@ func TestMetricsUnderConcurrentCommits(t *testing.T) {
 	rejects := snap.Counters["tintin_rejects_total"]
 	// Every session delta resolves through at least one safeCommit; batch
 	// passes add more. Rejected safeCommits must cover the violating deltas
-	// (each is re-checked individually) — batch-level rejections can add to
-	// that, never subtract.
+	// (each ends up rejected in a unit of its own) — rejections of larger
+	// units can add to that, never subtract.
 	if rejects < int64(sessions) {
 		t.Fatalf("rejects = %d, want >= %d", rejects, sessions)
 	}

@@ -106,7 +106,7 @@ func TestKillAndRecoverEveryCrashPoint(t *testing.T) {
 			opts := DefaultOptions()
 			opts.WALDir = dir
 			opts.Fsync = wal.SyncAlways
-			opts.FaultInjector = inj
+			opts.faultInjector = inj
 			// The mid-checkpoint point only fires if the crashing commit
 			// checkpoints; elsewhere keep checkpoints out of the way so
 			// recovery exercises multi-record replay.
@@ -211,7 +211,7 @@ func TestWALTransientAppendError(t *testing.T) {
 	inj := &wal.Injector{Point: wal.PointPostAppendPreFsync, Transient: true}
 	opts := DefaultOptions()
 	opts.WALDir = dir
-	opts.FaultInjector = inj
+	opts.faultInjector = inj
 	opts.CheckpointEvery = 100
 	tool, err := OpenDurable(opts, buildFreshTool(t, opts))
 	if err != nil {

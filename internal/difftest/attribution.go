@@ -14,9 +14,9 @@ import (
 	"tintin/internal/storage"
 )
 
-// RunAttribution exercises the group-commit attribution heuristic under a
-// generated multi-session stream. The setup is deliberately restricted so
-// that every delta has an order-independent reference verdict:
+// RunAttribution exercises group-commit verdicts under a generated
+// multi-session stream. The setup is deliberately restricted so that every
+// delta has an order-independent reference verdict:
 //
 //   - assertions are row-local (a single inserted row violates or not,
 //     independent of other rows), so deletes can never create violations;
@@ -24,9 +24,8 @@ import (
 //
 // Under those conditions each session's ack must equal the verdict its
 // delta would receive alone — regardless of how the committer batches the
-// sessions and regardless of whether the attribution heuristic matches
-// violations to deltas or falls back to per-delta re-checking. An
-// attribution miss is allowed to cost time, never to change a verdict.
+// sessions and regardless of how often a rejected batch is split before
+// each delta's verdict is its own.
 func RunAttribution(data []byte) error {
 	r := &rdr{data: data}
 

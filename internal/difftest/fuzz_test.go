@@ -43,7 +43,7 @@ func FuzzDifferential(f *testing.F) {
 // FuzzAttribution drives multi-session group commits: PK-disjoint deltas
 // over row-local assertions, where every session's ack must match the
 // verdict its delta would get alone, no matter how the committer batches
-// them or how attribution resolves rejections.
+// them or how often a rejected batch is split.
 func FuzzAttribution(f *testing.F) {
 	for seed := 0; seed < 12; seed++ {
 		f.Add(lcgBytes(seed+100, 64))

@@ -53,15 +53,11 @@ type Options struct {
 	// Subsumption drops EDCs whose conjunct set is a superset of another
 	// EDC's (the smaller EDC fires whenever the larger would).
 	Subsumption bool
-	// DisjointEvents assumes ins/del event tables never contain the same
-	// tuple (safeCommit normalizes them), allowing δp(x̄) alone to imply
-	// ¬p_n(x̄) when x̄ has no local variables.
-	DisjointEvents bool
 }
 
 // DefaultOptions enables every optimization, matching the paper's tool.
 func DefaultOptions() Options {
-	return Options{FKOptimization: true, Subsumption: true, DisjointEvents: true}
+	return Options{FKOptimization: true, Subsumption: true}
 }
 
 // EDC is one event dependency constraint, ready for SQL generation.
@@ -358,7 +354,9 @@ func (g *generator) negativeBaseOptions(d logic.Denial, lit logic.Literal, bound
 			hasLocals = true
 		}
 	}
-	if hasLocals || !g.opts.DisjointEvents {
+	// Without locals δp(x̄) alone implies ¬p_n(x̄): safeCommit normalizes
+	// the events, so ins_T and del_T never hold the same tuple.
+	if hasLocals {
 		auxName := g.ensureAux(d.Name, atom, boundTerms)
 		auxAtom := logic.Atom{Kind: logic.PredDerived, Name: auxName, Args: boundTerms}
 		event.conjuncts.Lits = append(event.conjuncts.Lits, logic.Literal{Atom: auxAtom, Neg: true})

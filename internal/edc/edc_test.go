@@ -96,7 +96,7 @@ func TestRunningExamplePaperEDCs(t *testing.T) {
 	// Without semantic optimizations we must get exactly the paper's EDCs
 	// (4), (5) and (6).
 	set := generate(t, "atLeastOneLineItem", atLeastOneLineItem,
-		Options{DisjointEvents: true})
+		Options{})
 	if len(set.EDCs) != 3 {
 		t.Fatalf("EDC count = %d, want 3:\n%s", len(set.EDCs), dump(set))
 	}
@@ -121,7 +121,7 @@ func TestRunningExamplePaperEDCs(t *testing.T) {
 
 func TestRunningExampleAuxRules(t *testing.T) {
 	set := generate(t, "atLeastOneLineItem", atLeastOneLineItem,
-		Options{DisjointEvents: true})
+		Options{})
 	var auxName string
 	for name := range set.Rules {
 		if strings.HasPrefix(name, "aux$") {
@@ -156,7 +156,7 @@ func TestRunningExampleAuxRules(t *testing.T) {
 
 func TestFKOptimizationDiscardsEDC5(t *testing.T) {
 	set := generate(t, "atLeastOneLineItem", atLeastOneLineItem,
-		Options{DisjointEvents: true, FKOptimization: true})
+		Options{FKOptimization: true})
 	if len(set.EDCs) != 2 {
 		t.Fatalf("EDC count with FK opt = %d, want 2:\n%s", len(set.EDCs), dump(set))
 	}
@@ -172,7 +172,7 @@ func TestFKOptimizationDiscardsEDC5(t *testing.T) {
 
 func TestTriggersListed(t *testing.T) {
 	set := generate(t, "atLeastOneLineItem", atLeastOneLineItem,
-		Options{DisjointEvents: true})
+		Options{})
 	byName := map[string][]string{}
 	for _, e := range set.EDCs {
 		byName[signature(e)] = e.Triggers
@@ -219,7 +219,7 @@ func TestForeignKeyStyleAssertion(t *testing.T) {
 	set := generate(t, "liHasOrder", `NOT EXISTS (
 		SELECT * FROM lineitem AS l
 		WHERE NOT EXISTS (SELECT * FROM orders AS o WHERE o.o_orderkey = l.l_orderkey))`,
-		Options{DisjointEvents: true})
+		Options{})
 	if len(set.EDCs) != 3 {
 		t.Fatalf("EDC count = %d, want 3:\n%s", len(set.EDCs), dump(set))
 	}
@@ -291,7 +291,7 @@ func TestDisjointEventsSimplifiesBoundDelete(t *testing.T) {
 	set := generate(t, "custNation", `NOT EXISTS (
 		SELECT * FROM customer AS c
 		WHERE NOT EXISTS (SELECT * FROM nation AS n WHERE n.n_nationkey = c.c_nationkey))`,
-		Options{DisjointEvents: true})
+		Options{})
 	found := false
 	for _, e := range set.EDCs {
 		if strings.Contains(signature(e), "del nation") && strings.Contains(signature(e), "not aux") {

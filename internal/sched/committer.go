@@ -45,11 +45,13 @@ var ErrCommitterClosed = errors.New("sched: committer is closed")
 // CommitterOption configures a Committer.
 type CommitterOption func(*committerConfig)
 
+// maxBatch caps how many deltas one batch may carry.
+const maxBatch = 64
+
 type committerConfig struct {
-	maxBatch int
-	keyFn    func(Op) []string
-	metrics  CommitterMetrics
-	logger   *obs.Logger
+	keyFn   func(Op) []string
+	metrics CommitterMetrics
+	logger  *obs.Logger
 }
 
 // CommitterMetrics are the group-commit counters a committer maintains.
@@ -80,15 +82,6 @@ func WithMetrics(m CommitterMetrics) CommitterOption {
 // (Commit enqueue, batch cutting) never logs.
 func WithLogger(l *obs.Logger) CommitterOption {
 	return func(c *committerConfig) { c.logger = l }
-}
-
-// WithMaxBatch caps how many deltas one batch may carry (default 64).
-func WithMaxBatch(n int) CommitterOption {
-	return func(c *committerConfig) {
-		if n > 0 {
-			c.maxBatch = n
-		}
-	}
 }
 
 // WithKeyFn overrides the conflict-key function. Two deltas sharing any key
@@ -128,7 +121,7 @@ type commitOutcome[R any] struct {
 
 // NewCommitter creates a committer over run.
 func NewCommitter[R any](run BatchFunc[R], opts ...CommitterOption) *Committer[R] {
-	c := &Committer[R]{run: run, cfg: committerConfig{maxBatch: 64}}
+	c := &Committer[R]{run: run}
 	for _, o := range opts {
 		o(&c.cfg)
 	}
@@ -243,7 +236,7 @@ func (c *Committer[R]) cutBatch() []*pending[R] {
 	var batch []*pending[R]
 	rest := c.queue[:0]
 	for _, p := range c.queue {
-		if len(batch) < c.cfg.maxBatch && !conflicts(taken, p.keys) {
+		if len(batch) < maxBatch && !conflicts(taken, p.keys) {
 			batch = append(batch, p)
 		} else {
 			rest = append(rest, p)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tintin/internal/sqltypes"
 )
@@ -174,23 +175,54 @@ func TestCommitterClosed(t *testing.T) {
 	}
 }
 
-// TestCommitterMaxBatch: batches never exceed the configured cap.
+// TestCommitterMaxBatch: while the leader is blocked in a first batch,
+// more than maxBatch deltas queue up; they then drain in batches of at
+// most maxBatch, and one batch is full.
 func TestCommitterMaxBatch(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var sizes []int // only the leader appends, and batches never overlap
 	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
-		if len(batch) > 4 {
-			t.Errorf("batch of %d exceeds cap 4", len(batch))
+		sizes = append(sizes, len(batch))
+		if len(sizes) == 1 {
+			close(entered)
+			<-release
 		}
 		return make([]Ack[int], len(batch)), nil
-	}, WithMaxBatch(4))
+	})
 	var wg sync.WaitGroup
-	for s := 0; s < 40; s++ {
-		wg.Add(1)
-		go func(s int64) {
-			defer wg.Done()
-			if _, err := c.Commit(delta("t", s)); err != nil {
-				t.Error(err)
-			}
-		}(int64(s))
+	commit := func(s int64) {
+		defer wg.Done()
+		if _, err := c.Commit(delta("t", s)); err != nil {
+			t.Error(err)
+		}
 	}
+	wg.Add(1)
+	go commit(0)
+	<-entered
+	const queued = maxBatch + 36
+	for s := 1; s <= queued; s++ {
+		wg.Add(1)
+		go commit(int64(s))
+	}
+	for {
+		c.mu.Lock()
+		n := len(c.queue)
+		c.mu.Unlock()
+		if n == queued {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
 	wg.Wait()
+	full := false
+	for _, n := range sizes {
+		if n > maxBatch {
+			t.Errorf("batch of %d exceeds cap %d", n, maxBatch)
+		}
+		full = full || n == maxBatch
+	}
+	if !full {
+		t.Errorf("no batch reached the cap %d: sizes %v", maxBatch, sizes)
+	}
 }

@@ -124,7 +124,7 @@ func (p *pipeline) violations(t *testing.T) int {
 }
 
 func TestGeneratedViewMatchesPaperShape(t *testing.T) {
-	p := buildPipeline(t, assertAtLeastOne, edc.Options{DisjointEvents: true})
+	p := buildPipeline(t, assertAtLeastOne, edc.Options{})
 	// Find the EDC 4 view: FROM ins_orders with two NOT EXISTS.
 	var found string
 	for _, v := range p.view {
@@ -273,7 +273,7 @@ func TestForeignKeyAssertionBothDirections(t *testing.T) {
 
 func TestViewSQLRoundTrips(t *testing.T) {
 	// Every generated view must parse back from its printed SQL.
-	p := buildPipeline(t, assertAtLeastOne, edc.Options{DisjointEvents: true})
+	p := buildPipeline(t, assertAtLeastOne, edc.Options{})
 	for _, v := range p.view {
 		sql := sqlparser.FormatSelect(p.db.View(v))
 		if _, err := sqlparser.ParseSelect(sql); err != nil {
