@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tintin/internal/sqlparser"
+	"tintin/internal/tpch"
 )
 
 const demoScript = `
@@ -528,5 +532,44 @@ func TestBadLogFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-log", "verbose"}, strings.NewReader(""), &out); err == nil {
 		t.Fatal("bad -log accepted")
+	}
+}
+
+// pipelineScript creates every TPC-H assertion the experiments use — the
+// seven of the complexity suite and the two aggregate ones — and prints
+// each one's denials, EDCs (with derived rules and discards) and view SQL.
+func pipelineScript(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("\\install\n")
+	for _, sql := range append(tpch.ComplexityAssertions(), tpch.AggregateAssertions()...) {
+		st, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := st.(*sqlparser.CreateAssertion).Name
+		fmt.Fprintf(&b, "%s;\n\\denials %s\n\\edcs %s\n\\views %s\n", sql, name, name, name)
+	}
+	b.WriteString("\\quit\n")
+	return b.String()
+}
+
+// TestPipelineGolden pins the whole install-time pipeline — assertion →
+// denials → EDCs → SQL views — byte for byte over the TPC-H assertions.
+// Regenerate with UPDATE_GOLDEN=1.
+func TestPipelineGolden(t *testing.T) {
+	out := runShell(t, pipelineScript(t), "-tpch", "1")
+	const golden = "testdata/pipeline.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		t.Fatalf("pipeline output drifted from %s (set UPDATE_GOLDEN=1 to regenerate)\n--- got ---\n%s", golden, out)
 	}
 }
