@@ -308,7 +308,7 @@ func execute(tool *core.Tool, sql string, out io.Writer) error {
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *sqlparser.CreateAssertion:
-			a, err := tool.AddAssertionAST(x, sql)
+			a, err := tool.AddAssertionAST(x)
 			if err != nil {
 				return err
 			}

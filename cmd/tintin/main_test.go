@@ -289,6 +289,40 @@ CALL safeCommit;
 	}
 }
 
+// sharedLineScript types an assertion on the same line as an INSERT.
+const sharedLineScript = `
+CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER);
+\install
+INSERT INTO t VALUES (1, 1); CREATE ASSERTION nonNegative CHECK (NOT EXISTS (SELECT * FROM t WHERE t.b < 0));
+CALL safeCommit;
+`
+
+// TestSharedLineAssertionRestores checks that only the assertion, not the
+// rest of its input line, is persisted: the state survives both \save /
+// \load and a -wal restart, and the restored assertion is enforced.
+func TestSharedLineAssertionRestores(t *testing.T) {
+	const violate = "INSERT INTO t VALUES (2, -1);\nCALL safeCommit;\n\\quit\n"
+	check := func(t *testing.T, out, banner string) {
+		t.Helper()
+		if strings.Contains(out, "error:") || !strings.Contains(out, banner) {
+			t.Errorf("restore failed, want %q:\n%s", banner, out)
+		}
+		if !strings.Contains(out, "rejected: 1 assertion violation(s)") {
+			t.Errorf("restored assertion not enforced:\n%s", out)
+		}
+	}
+	t.Run("save-load", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "snap.tdb")
+		out := runShell(t, sharedLineScript+"\\save "+path+"\n\\load "+path+"\n"+violate)
+		check(t, out, "loaded "+path+": 1 assertion(s)")
+	})
+	t.Run("wal", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "wal")
+		runShell(t, sharedLineScript+"\\quit\n", "-wal", dir)
+		check(t, runShell(t, violate, "-wal", dir), "recovered durable state from "+dir+": 1 assertion(s)")
+	})
+}
+
 func TestBadFsyncFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-fsync", "sometimes"}, strings.NewReader(""), &out); err == nil {

@@ -21,7 +21,7 @@ import (
 // serving a committer, updates must go through it (a direct SafeCommit
 // would race the leader and is truncated away by the next batch anyway).
 func (t *Tool) NewCommitter() *sched.Committer[*CommitResult] {
-	return sched.NewCommitter(t.commitBatch, sched.WithKeyFn(t.conflictKeys), sched.WithMetrics(t.committerMetrics()), sched.WithLogger(t.opts.Logger))
+	return sched.NewCommitter(t.commitBatch, t.conflictKeys, t.committerMetrics(), t.opts.Logger)
 }
 
 // conflictKeys keys an op by full-row identity and, when the table declares

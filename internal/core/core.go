@@ -282,11 +282,13 @@ func (t *Tool) AddAssertion(sql string) (*Assertion, error) {
 	if !ok {
 		return nil, fmt.Errorf("tintin: expected CREATE ASSERTION, got %T", st)
 	}
-	return t.AddAssertionAST(ca, sql)
+	return t.AddAssertionAST(ca)
 }
 
-// AddAssertionAST compiles an already-parsed assertion.
-func (t *Tool) AddAssertionAST(ca *sqlparser.CreateAssertion, sql string) (*Assertion, error) {
+// AddAssertionAST compiles an already-parsed assertion. The statement is
+// stored (and persisted by Save) as the printer renders it, never as the
+// text it was parsed from, which may hold other statements.
+func (t *Tool) AddAssertionAST(ca *sqlparser.CreateAssertion) (*Assertion, error) {
 	name := strings.ToLower(ca.Name)
 	if _, dup := t.asserts[name]; dup {
 		return nil, fmt.Errorf("tintin: assertion %s already exists", ca.Name)
@@ -304,7 +306,7 @@ func (t *Tool) AddAssertionAST(ca *sqlparser.CreateAssertion, sql string) (*Asse
 		return nil, err
 	}
 	gen := sqlgen.New(info, set.Rules)
-	a := &Assertion{Name: name, SQL: sql, Check: ca.Check, Denial: tr, EDCs: set, Triggers: set.Triggers()}
+	a := &Assertion{Name: name, SQL: sqlparser.FormatStatement(ca), Check: ca.Check, Denial: tr, EDCs: set, Triggers: set.Triggers()}
 	for i, e := range set.EDCs {
 		sel, err := gen.Select(e)
 		if err != nil {

@@ -46,7 +46,7 @@ func (g *generator) aggOptions(cond logic.AggCond) ([]option, error) {
 			switch {
 			case f.Op == logic.CmpEq && boundCol[f.Col] && logic.SameTerm(args[f.Col], f.T):
 				// Consumed as an argument binding.
-			case f.Op == logic.CmpIsNull || f.Op == logic.CmpIsNotNull:
+			case f.Op.Unary():
 				builtins = append(builtins, logic.Builtin{Op: f.Op, L: args[f.Col]})
 			default:
 				builtins = append(builtins, logic.Builtin{Op: f.Op, L: args[f.Col], R: f.T})

@@ -48,43 +48,6 @@ func (g *generator) negativeDerivedOptions(lit logic.Literal) ([]option, error) 
 	return opts, nil
 }
 
-// instantiate returns the rule body with head formals substituted by the
-// call-site arguments and every other (local) variable renamed fresh.
-func (g *generator) instantiate(r logic.Rule, args []logic.Term) logic.Body {
-	body := r.Body.Clone()
-	headVars := map[string]bool{}
-	// Substitute formals right-to-left through temporaries to avoid
-	// capture when a call argument coincides with another formal name.
-	tmp := make([]string, len(r.Head.Args))
-	for i, f := range r.Head.Args {
-		if f.IsConst {
-			continue
-		}
-		headVars[f.Name] = true
-		tmp[i] = g.fresh("T$")
-		body.Substitute(f.Name, logic.Var(tmp[i]))
-	}
-	for i, f := range r.Head.Args {
-		if f.IsConst {
-			continue
-		}
-		body.Substitute(tmp[i], args[i])
-	}
-	// Rename locals fresh so inlined bodies never collide with the caller.
-	argVars := map[string]bool{}
-	for _, a := range args {
-		if !a.IsConst {
-			argVars[a.Name] = true
-		}
-	}
-	for _, v := range body.Vars() {
-		if !argVars[v] {
-			body.Substitute(v, logic.Var(g.fresh("L$")))
-		}
-	}
-	return body
-}
-
 // falsifierBodies returns, for the derived predicate defined by rules and
 // called with args, the event conjunctions that can destroy a derivation:
 // for each rule and each literal of the rule, the literal's falsifying
@@ -95,7 +58,10 @@ func (g *generator) falsifierBodies(rules []logic.Rule, args []logic.Term, depth
 	}
 	var out []logic.Body
 	for _, r := range rules {
-		body := g.instantiate(r, args)
+		body, err := r.Instantiate(args, g.fresh)
+		if err != nil {
+			return nil, err
+		}
 		for i, target := range body.Lits {
 			rest := logic.Body{Builtins: append([]logic.Builtin(nil), body.Builtins...)}
 			for j, l := range body.Lits {
@@ -150,7 +116,10 @@ func (g *generator) satisfierBodies(rules []logic.Rule, args []logic.Term, depth
 	}
 	var out []logic.Body
 	for _, r := range rules {
-		body := g.instantiate(r, args)
+		body, err := r.Instantiate(args, g.fresh)
+		if err != nil {
+			return nil, err
+		}
 		for i, target := range body.Lits {
 			rest := logic.Body{Builtins: append([]logic.Builtin(nil), body.Builtins...)}
 			for j, l := range body.Lits {

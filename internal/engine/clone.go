@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
 )
@@ -90,10 +89,9 @@ func (c *cloner) cloneExec(ex *exec) *exec {
 	}
 	n.initLevels()
 	if ex.subs != nil {
-		n.subs = make(map[*sqlparser.Select]*exec, len(ex.subs))
-		//tintin:allow nodeterminism rebuilds a map keyed identically; per-entry clones are independent, order never reaches results
-		for q, sub := range ex.subs {
-			n.subs[q] = c.cloneExec(sub)
+		n.subs = make([]subPlan, len(ex.subs))
+		for i, s := range ex.subs {
+			n.subs[i] = subPlan{q: s.q, ex: c.cloneExec(s.ex)}
 		}
 	}
 	return n

@@ -134,9 +134,9 @@ type exec struct {
 	skipProject bool
 
 	// subs holds the exec of every subquery block nested directly in this
-	// one, compiled by planSubqueries when the block itself was: evaluation
-	// only looks plans up, it never builds one.
-	subs map[*sqlparser.Select]*exec
+	// one, in planning order, compiled by planSubqueries when the block
+	// itself was: evaluation only looks plans up, it never builds one.
+	subs []subPlan
 	// views lists the nested plans of the views this block and its
 	// subqueries read; PreparedQuery.current re-validates them.
 	views []*PreparedQuery
@@ -211,10 +211,18 @@ type inSet struct {
 	sawNull bool
 }
 
+// subPlan pairs a subquery block with the exec compiled for it.
+type subPlan struct {
+	q  *sqlparser.Select
+	ex *exec
+}
+
 // subExec returns the exec planSubqueries compiled for one subquery block.
 func (ex *exec) subExec(q *sqlparser.Select) (*exec, error) {
-	if sub, ok := ex.subs[q]; ok {
-		return sub, nil
+	for _, s := range ex.subs {
+		if s.q == q {
+			return s.ex, nil
+		}
 	}
 	return nil, fmt.Errorf("engine: internal: subquery evaluated before it was planned")
 }
@@ -247,10 +255,7 @@ func (ex *exec) planSubqueries(e sqlparser.Expr, chain []string) error {
 				werr = err
 				break
 			}
-			if ex.subs == nil {
-				ex.subs = make(map[*sqlparser.Select]*exec)
-			}
-			ex.subs[cur] = sub
+			ex.subs = append(ex.subs, subPlan{q: cur, ex: sub})
 			ex.views = append(ex.views, sub.views...)
 		}
 		return false
@@ -414,13 +419,12 @@ func (e *Engine) resolveSource(tr sqlparser.TableRef, chain []string) (*source, 
 				}
 			}
 		}
-		//tintin:allow nodeterminism bareIdx keys are unique by construction, so the writes commute; order never reaches results
-		for bare, i := range bareIdx {
-			if i < 0 {
-				continue
-			}
-			if _, taken := ci[bare]; !taken {
-				ci[bare] = i
+		for i, c := range cols {
+			if dot := strings.IndexByte(c, '.'); dot >= 0 {
+				bare := c[dot+1:]
+				if _, taken := ci[bare]; !taken && bareIdx[bare] == i {
+					ci[bare] = i
+				}
 			}
 		}
 		return &source{alias: alias, cols: cols, colIdx: ci, view: vp}, nil

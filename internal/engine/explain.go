@@ -137,7 +137,7 @@ func explainExec(ex *exec, distinct, aggregate bool) ExplainBranch {
 }
 
 // explainSubplans walks the branch's projections and WHERE clause in
-// syntactic order — the subs map alone would yield nondeterministic output —
+// syntactic order — subs alone holds union branches without their kind —
 // and describes the compiled plan of every directly nested subquery.
 func explainSubplans(ex *exec) []ExplainSubquery {
 	var out []ExplainSubquery
@@ -162,8 +162,8 @@ func explainSubplans(ex *exec) []ExplainSubquery {
 		}
 		sq := ExplainSubquery{Kind: kind}
 		for cur := q; cur != nil; cur = cur.Union {
-			sub, ok := ex.subs[cur]
-			if !ok {
+			sub, err := ex.subExec(cur)
+			if err != nil {
 				continue
 			}
 			sq.Branches = append(sq.Branches, explainExec(sub, cur.Distinct, hasAggregates(cur)))

@@ -204,9 +204,8 @@ func (ex *exec) reset() {
 			src.fresh = false
 		}
 	}
-	//tintin:allow nodeterminism each sub-plan reset is independent; order never reaches results
-	for _, sub := range ex.subs {
-		sub.reset()
+	for _, s := range ex.subs {
+		s.ex.reset()
 	}
 }
 
@@ -237,9 +236,8 @@ func (ex *exec) ensureProbeIndexes() error {
 			return err
 		}
 	}
-	//tintin:allow nodeterminism per-sub-plan index builds are independent; order only picks which error surfaces first
-	for _, sub := range ex.subs {
-		if err := sub.ensureProbeIndexes(); err != nil {
+	for _, s := range ex.subs {
+		if err := s.ex.ensureProbeIndexes(); err != nil {
 			return err
 		}
 	}

@@ -61,7 +61,7 @@ func (a AggCond) String() string {
 	b.WriteString(strings.ToLower(a.Fn.String()))
 	fmt.Fprintf(&b, "[%s", a.Table)
 	for _, f := range a.Filters {
-		if f.Op == CmpIsNull || f.Op == CmpIsNotNull {
+		if f.Op.Unary() {
 			fmt.Fprintf(&b, "; #%d %s", f.Col, f.Op)
 		} else {
 			fmt.Fprintf(&b, "; #%d %s %s", f.Col, f.Op, f.T)

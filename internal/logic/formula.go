@@ -136,26 +136,20 @@ const (
 
 // String returns the SQL spelling.
 func (op CmpOp) String() string {
-	switch op {
-	case CmpEq:
-		return "="
-	case CmpNe:
-		return "<>"
-	case CmpLt:
-		return "<"
-	case CmpLe:
-		return "<="
-	case CmpGt:
-		return ">"
-	case CmpGe:
-		return ">="
-	case CmpIsNull:
+	switch {
+	case op == CmpIsNull:
 		return "IS NULL"
-	case CmpIsNotNull:
+	case op == CmpIsNotNull:
 		return "IS NOT NULL"
+	case int(op) < len(sqlOps):
+		return sqlOps[op].String()
 	}
 	return "?"
 }
+
+// Unary reports whether the operator is a null test, which has no right
+// operand.
+func (op CmpOp) Unary() bool { return op == CmpIsNull || op == CmpIsNotNull }
 
 // Negate returns the complementary operator.
 func (op CmpOp) Negate() CmpOp {
@@ -188,7 +182,7 @@ type Builtin struct {
 
 // String renders the builtin.
 func (b Builtin) String() string {
-	if b.Op == CmpIsNull || b.Op == CmpIsNotNull {
+	if b.Op.Unary() {
 		return b.L.String() + " " + b.Op.String()
 	}
 	return b.L.String() + " " + b.Op.String() + " " + b.R.String()
@@ -283,7 +277,7 @@ func (b Body) Vars() []string {
 		if !bi.L.IsConst {
 			set[bi.L.Name] = true
 		}
-		if bi.Op != CmpIsNull && bi.Op != CmpIsNotNull && !bi.R.IsConst {
+		if !bi.Op.Unary() && !bi.R.IsConst {
 			set[bi.R.Name] = true
 		}
 	}
@@ -314,6 +308,44 @@ type Rule struct {
 
 // String renders the rule.
 func (r Rule) String() string { return r.Head.String() + " <- " + r.Body.String() }
+
+// Instantiate returns the rule's body inlined at a call d(args): each head
+// formal replaced by its argument and every other variable renamed through
+// fresh, which must return a name used nowhere in the rule or at the call
+// site. It is capture-safe because of the order of its three steps: each
+// formal first moves to a fresh placeholder (fresh("T$")), then every
+// variable that is not a placeholder is renamed fresh (fresh("L$"), in
+// sorted order), and only then do the arguments replace the placeholders.
+// No argument enters the body while an original name remains in it, so a
+// call argument named like a rule local stays distinct from it.
+func (r Rule) Instantiate(args []Term, fresh func(prefix string) string) (Body, error) {
+	if len(args) != len(r.Head.Args) {
+		return Body{}, fmt.Errorf("logic: derived predicate %s called with %d args, rules have %d",
+			r.Head.Name, len(args), len(r.Head.Args))
+	}
+	body := r.Body.Clone()
+	holders := make([]string, len(args))
+	isHolder := map[string]bool{}
+	for i, f := range r.Head.Args {
+		if f.IsConst {
+			continue
+		}
+		holders[i] = fresh("T$")
+		isHolder[holders[i]] = true
+		body.Substitute(f.Name, Var(holders[i]))
+	}
+	for _, v := range body.Vars() {
+		if !isHolder[v] {
+			body.Substitute(v, Var(fresh("L$")))
+		}
+	}
+	for i, h := range holders {
+		if h != "" {
+			body.Substitute(h, args[i])
+		}
+	}
+	return body, nil
+}
 
 // Denial is a condition that must never hold: Body → ⊥.
 type Denial struct {

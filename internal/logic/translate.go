@@ -606,20 +606,31 @@ func (t *translator) unify(b *Body, sc *scope, l, r Term) (bool, error) {
 	return true, nil
 }
 
+// sqlOps maps each binary comparison to its SQL operator: SQL reads it one
+// way and cmpOpOf the other.
+var sqlOps = [...]sqlparser.BinaryOp{
+	CmpEq: sqlparser.OpEq,
+	CmpNe: sqlparser.OpNe,
+	CmpLt: sqlparser.OpLt,
+	CmpLe: sqlparser.OpLe,
+	CmpGt: sqlparser.OpGt,
+	CmpGe: sqlparser.OpGe,
+}
+
+// SQL returns the SQL operator of a binary comparison. The null tests have
+// none; asking for one is a bug.
+func (op CmpOp) SQL() sqlparser.BinaryOp {
+	if int(op) >= len(sqlOps) {
+		panic("logic: not a binary comparison: " + op.String())
+	}
+	return sqlOps[op]
+}
+
 func cmpOpOf(op sqlparser.BinaryOp) CmpOp {
-	switch op {
-	case sqlparser.OpEq:
-		return CmpEq
-	case sqlparser.OpNe:
-		return CmpNe
-	case sqlparser.OpLt:
-		return CmpLt
-	case sqlparser.OpLe:
-		return CmpLe
-	case sqlparser.OpGt:
-		return CmpGt
-	case sqlparser.OpGe:
-		return CmpGe
+	for c, s := range sqlOps {
+		if s == op {
+			return CmpOp(c)
+		}
 	}
 	panic("logic: not a comparison: " + op.String())
 }

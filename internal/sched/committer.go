@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"tintin/internal/obs"
@@ -42,17 +41,8 @@ type BatchFunc[R any] func(batch []Delta) ([]Ack[R], error)
 // ErrCommitterClosed is returned by Commit after Close.
 var ErrCommitterClosed = errors.New("sched: committer is closed")
 
-// CommitterOption configures a Committer.
-type CommitterOption func(*committerConfig)
-
 // maxBatch caps how many deltas one batch may carry.
 const maxBatch = 64
-
-type committerConfig struct {
-	keyFn   func(Op) []string
-	metrics CommitterMetrics
-	logger  *obs.Logger
-}
 
 // CommitterMetrics are the group-commit counters a committer maintains.
 // Every field is optional (obs primitives are nil-receiver-safe); the zero
@@ -72,26 +62,6 @@ type CommitterMetrics struct {
 	QueueDepth *obs.Gauge
 }
 
-// WithMetrics wires group-commit metrics into the committer.
-func WithMetrics(m CommitterMetrics) CommitterOption {
-	return func(c *committerConfig) { c.metrics = m }
-}
-
-// WithLogger wires lifecycle logging: leader step-up/step-down at debug,
-// close and systemic batch failures at info/error. The per-delta fast path
-// (Commit enqueue, batch cutting) never logs.
-func WithLogger(l *obs.Logger) CommitterOption {
-	return func(c *committerConfig) { c.logger = l }
-}
-
-// WithKeyFn overrides the conflict-key function. Two deltas sharing any key
-// never ride in the same batch; the default keys each op by table plus the
-// full-row identity, and callers with schema knowledge add sharper keys
-// (e.g. table plus primary key) so same-key writes serialize.
-func WithKeyFn(fn func(Op) []string) CommitterOption {
-	return func(c *committerConfig) { c.keyFn = fn }
-}
-
 // Committer is the group-commit front door: concurrent sessions enqueue
 // deltas via Commit, a leader batches compatible deltas and hands each
 // batch to the BatchFunc in one pass, and every session is acked with its
@@ -99,8 +69,10 @@ func WithKeyFn(fn func(Op) []string) CommitterOption {
 // unled and is relinquished when the queue drains, so there is no
 // background goroutine while the committer is idle.
 type Committer[R any] struct {
-	run BatchFunc[R]
-	cfg committerConfig
+	run     BatchFunc[R]
+	keyFn   func(Op) []string
+	metrics CommitterMetrics
+	logger  *obs.Logger
 
 	mu      sync.Mutex
 	queue   []*pending[R]
@@ -119,22 +91,15 @@ type commitOutcome[R any] struct {
 	err error
 }
 
-// NewCommitter creates a committer over run.
-func NewCommitter[R any](run BatchFunc[R], opts ...CommitterOption) *Committer[R] {
-	c := &Committer[R]{run: run}
-	for _, o := range opts {
-		o(&c.cfg)
-	}
-	if c.cfg.keyFn == nil {
-		c.cfg.keyFn = defaultKeyFn
-	}
-	return c
-}
-
-// defaultKeyFn keys by lowercased table (matching storage's name
-// resolution) plus full-row identity.
-func defaultKeyFn(op Op) []string {
-	return []string{strings.ToLower(op.Table) + "\x00" + op.Row.Key()}
+// NewCommitter creates a committer over run. keyFn returns an op's
+// conflict keys: two deltas sharing any key never ride in the same batch,
+// so same-key writes serialize in submission order. metrics may be the zero
+// value. logger (nil disables it) gets lifecycle events only: leader
+// step-up/step-down at debug, close and systemic batch failures at
+// info/error; the per-delta fast path (Commit enqueue, batch cutting) never
+// logs.
+func NewCommitter[R any](run BatchFunc[R], keyFn func(Op) []string, metrics CommitterMetrics, logger *obs.Logger) *Committer[R] {
+	return &Committer[R]{run: run, keyFn: keyFn, metrics: metrics, logger: logger}
 }
 
 // Commit submits one delta and blocks until the batch it rode in has been
@@ -143,7 +108,7 @@ func (c *Committer[R]) Commit(d Delta) (R, error) {
 	var zero R
 	p := &pending[R]{delta: d, done: make(chan commitOutcome[R], 1)}
 	for _, op := range d.Ops {
-		p.keys = append(p.keys, c.cfg.keyFn(op)...)
+		p.keys = append(p.keys, c.keyFn(op)...)
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -151,7 +116,7 @@ func (c *Committer[R]) Commit(d Delta) (R, error) {
 		return zero, ErrCommitterClosed
 	}
 	c.queue = append(c.queue, p)
-	c.cfg.metrics.QueueDepth.Add(1)
+	c.metrics.QueueDepth.Add(1)
 	lead := !c.leading
 	if lead {
 		c.leading = true
@@ -171,19 +136,19 @@ func (c *Committer[R]) Close() {
 	c.closed = true
 	queued := len(c.queue)
 	c.mu.Unlock()
-	c.cfg.logger.Info("committer: closed", "queued", queued)
+	c.logger.Info("committer: closed", "queued", queued)
 }
 
 // lead drains the queue batch by batch, then steps down.
 func (c *Committer[R]) lead() {
-	c.cfg.logger.Debug("committer: leader stepping up")
+	c.logger.Debug("committer: leader stepping up")
 	served := 0
 	for {
 		c.mu.Lock()
 		if len(c.queue) == 0 {
 			c.leading = false
 			c.mu.Unlock()
-			c.cfg.logger.Debug("committer: leader stepping down", "batches_served", served)
+			c.logger.Debug("committer: leader stepping down", "batches_served", served)
 			return
 		}
 		batch := c.cutBatch()
@@ -198,7 +163,7 @@ func (c *Committer[R]) lead() {
 			err = fmt.Errorf("sched: batch func returned %d acks for %d deltas", len(acks), len(batch))
 		}
 		if err != nil {
-			c.cfg.logger.Error("committer: batch failed systemically", "deltas", len(batch), "err", err.Error())
+			c.logger.Error("committer: batch failed systemically", "deltas", len(batch), "err", err.Error())
 		}
 		served++
 		for i, p := range batch {
@@ -240,14 +205,14 @@ func (c *Committer[R]) cutBatch() []*pending[R] {
 			batch = append(batch, p)
 		} else {
 			rest = append(rest, p)
-			c.cfg.metrics.Deferrals.Inc()
+			c.metrics.Deferrals.Inc()
 		}
 		for _, k := range p.keys {
 			taken[k] = true
 		}
 	}
 	c.queue = rest
-	m := &c.cfg.metrics
+	m := &c.metrics
 	m.Batches.Inc()
 	m.BatchDeltas.Add(int64(len(batch)))
 	m.BatchSize.Observe(int64(len(batch)))

@@ -12,6 +12,14 @@ import (
 
 func iv(n int64) sqltypes.Value { return sqltypes.NewInt(n) }
 
+// rowKey is the conflict-key function of the tests: table plus full-row
+// identity.
+func rowKey(op Op) []string { return []string{op.Table + "\x00" + op.Row.Key()} }
+
+func newCommitter(run BatchFunc[int]) *Committer[int] {
+	return NewCommitter(run, rowKey, CommitterMetrics{}, nil)
+}
+
 func delta(table string, ids ...int64) Delta {
 	var d Delta
 	for _, id := range ids {
@@ -26,7 +34,7 @@ func delta(table string, ids ...int64) Delta {
 func TestCommitterBatches(t *testing.T) {
 	var calls, total atomic.Int64
 	var inFlight atomic.Int64
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		if inFlight.Add(1) != 1 {
 			t.Error("batches handed over concurrently")
 		}
@@ -68,7 +76,7 @@ func TestCommitterBatches(t *testing.T) {
 // TestCommitterConflictsSerialize: deltas sharing a conflict key never
 // ride in the same batch.
 func TestCommitterConflictsSerialize(t *testing.T) {
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		seen := map[string]bool{}
 		for _, d := range batch {
 			for _, op := range d.Ops {
@@ -99,7 +107,7 @@ func TestCommitterConflictsSerialize(t *testing.T) {
 // session; a systemic error reaches every session in the batch.
 func TestCommitterPerDeltaAcks(t *testing.T) {
 	bad := errors.New("bad delta")
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		acks := make([]Ack[int], len(batch))
 		for i, d := range batch {
 			if d.Ops[0].Row[0].Int() < 0 {
@@ -122,13 +130,13 @@ func TestCommitterPerDeltaAcks(t *testing.T) {
 // with the batch reserves its keys, so a later delta conflicting with the
 // *deferred* one (but not with the batch) must not jump ahead of it.
 func TestCutBatchPreservesConflictOrder(t *testing.T) {
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		return make([]Ack[int], len(batch)), nil
 	})
 	mk := func(ids ...int64) *pending[int] {
 		p := &pending[int]{delta: delta("t", ids...), done: make(chan commitOutcome[int], 1)}
 		for _, op := range p.delta.Ops {
-			p.keys = append(p.keys, c.cfg.keyFn(op)...)
+			p.keys = append(p.keys, c.keyFn(op)...)
 		}
 		return p
 	}
@@ -149,7 +157,7 @@ func TestCutBatchPreservesConflictOrder(t *testing.T) {
 // an error instead of wedging the leader; the committer keeps serving.
 func TestCommitterSurvivesPanic(t *testing.T) {
 	boom := true
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		if boom {
 			panic("kaboom")
 		}
@@ -166,7 +174,7 @@ func TestCommitterSurvivesPanic(t *testing.T) {
 
 // TestCommitterClosed: Commit after Close is rejected.
 func TestCommitterClosed(t *testing.T) {
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		return make([]Ack[int], len(batch)), nil
 	})
 	c.Close()
@@ -181,7 +189,7 @@ func TestCommitterClosed(t *testing.T) {
 func TestCommitterMaxBatch(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var sizes []int // only the leader appends, and batches never overlap
-	c := NewCommitter(func(batch []Delta) ([]Ack[int], error) {
+	c := newCommitter(func(batch []Delta) ([]Ack[int], error) {
 		sizes = append(sizes, len(batch))
 		if len(sizes) == 1 {
 			close(entered)

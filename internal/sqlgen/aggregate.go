@@ -26,7 +26,6 @@ func (g *Generator) aggExprs(a logic.AggCond, bind bindings) ([]sqlparser.Expr, 
 	if err != nil {
 		return nil, err
 	}
-	cmp := cmpToBinaryOp(a.Op)
 
 	// sub builds (SELECT fn FROM tbl WHERE filters [AND extra]).
 	sub := func(tbl string, fn *sqlparser.FuncCall, extraNotNullCol int) (*sqlparser.ScalarSubquery, error) {
@@ -37,19 +36,14 @@ func (g *Generator) aggExprs(a logic.AggCond, bind bindings) ([]sqlparser.Expr, 
 		}
 		var conj []sqlparser.Expr
 		for _, f := range a.Filters {
-			ref := &sqlparser.ColumnRef{Qualifier: alias, Name: cols[f.Col]}
-			switch f.Op {
-			case logic.CmpIsNull:
-				conj = append(conj, &sqlparser.IsNull{E: ref})
-			case logic.CmpIsNotNull:
-				conj = append(conj, &sqlparser.IsNull{Negated: true, E: ref})
-			default:
-				t, err := termExpr(f.T, bind)
-				if err != nil {
+			var t sqlparser.Expr
+			if !f.Op.Unary() {
+				var err error
+				if t, err = termExpr(f.T, bind); err != nil {
 					return nil, err
 				}
-				conj = append(conj, &sqlparser.Binary{Op: cmpToBinaryOp(f.Op), L: ref, R: t})
 			}
+			conj = append(conj, cmpExpr(f.Op, &sqlparser.ColumnRef{Qualifier: alias, Name: cols[f.Col]}, t))
 		}
 		if extraNotNullCol >= 0 {
 			conj = append(conj, &sqlparser.IsNull{Negated: true,
@@ -82,7 +76,7 @@ func (g *Generator) aggExprs(a logic.AggCond, bind bindings) ([]sqlparser.Expr, 
 		if err != nil {
 			return nil, err
 		}
-		return []sqlparser.Expr{&sqlparser.Binary{Op: cmp, L: sq, R: bound}}, nil
+		return []sqlparser.Expr{cmpExpr(a.Op, sq, bound)}, nil
 	}
 
 	// New-state decomposition over base, ins_ and del_ tables.
@@ -121,7 +115,7 @@ func (g *Generator) aggExprs(a logic.AggCond, bind bindings) ([]sqlparser.Expr, 
 	}
 
 	if a.Fn == logic.AggCount {
-		return []sqlparser.Expr{&sqlparser.Binary{Op: cmp, L: countN, R: bound}}, nil
+		return []sqlparser.Expr{cmpExpr(a.Op, countN, bound)}, nil
 	}
 
 	sumN, err := mkTriple(subSum)
@@ -132,7 +126,7 @@ func (g *Generator) aggExprs(a logic.AggCond, bind bindings) ([]sqlparser.Expr, 
 	sumN = coalesceTree(sumN)
 	return []sqlparser.Expr{
 		&sqlparser.Binary{Op: sqlparser.OpGt, L: countN, R: &sqlparser.Literal{Value: sqltypes.NewInt(0)}},
-		&sqlparser.Binary{Op: cmp, L: sumN, R: bound},
+		cmpExpr(a.Op, sumN, bound),
 	}, nil
 }
 
@@ -148,22 +142,4 @@ func coalesceTree(e sqlparser.Expr) sqlparser.Expr {
 		}}
 	}
 	return e
-}
-
-func cmpToBinaryOp(op logic.CmpOp) sqlparser.BinaryOp {
-	switch op {
-	case logic.CmpEq:
-		return sqlparser.OpEq
-	case logic.CmpNe:
-		return sqlparser.OpNe
-	case logic.CmpLt:
-		return sqlparser.OpLt
-	case logic.CmpLe:
-		return sqlparser.OpLe
-	case logic.CmpGt:
-		return sqlparser.OpGt
-	case logic.CmpGe:
-		return sqlparser.OpGe
-	}
-	panic("sqlgen: non-binary comparison " + op.String())
 }

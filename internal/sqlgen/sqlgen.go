@@ -55,9 +55,12 @@ func (g *Generator) freshAlias() string {
 	return a
 }
 
-func (g *Generator) freshVar() string {
+// freshVar names the variables Rule.Instantiate introduces. The leading G
+// keeps them apart from the names the EDC generator gave its own
+// instantiations, which the rules and EDC bodies already carry.
+func (g *Generator) freshVar(prefix string) string {
 	g.varSeq++
-	return fmt.Sprintf("G$%d", g.varSeq)
+	return fmt.Sprintf("G%s%d", prefix, g.varSeq)
 }
 
 // tableName maps an atom to the SQL table it reads.
@@ -204,11 +207,11 @@ func (g *Generator) negatedExprs(a logic.Atom, bind bindings) ([]sqlparser.Expr,
 	rules := g.rules[a.Name]
 	var out []sqlparser.Expr
 	for _, r := range rules {
-		inst, err := g.instantiateRule(r, a.Args, bind)
+		body, err := r.Instantiate(a.Args, g.freshVar)
 		if err != nil {
 			return nil, err
 		}
-		sub, err := g.bodySelect(inst.body, inst.bind)
+		sub, err := g.bodySelect(body, bind)
 		if err != nil {
 			return nil, err
 		}
@@ -275,34 +278,25 @@ func (g *Generator) builtinExpr(bi logic.Builtin, bind bindings) (sqlparser.Expr
 	if err != nil {
 		return nil, err
 	}
-	switch bi.Op {
+	var r sqlparser.Expr
+	if !bi.Op.Unary() {
+		if r, err = termExpr(bi.R, bind); err != nil {
+			return nil, err
+		}
+	}
+	return cmpExpr(bi.Op, l, r), nil
+}
+
+// cmpExpr renders the comparison l op r, or for a null test l IS [NOT]
+// NULL (r unused).
+func cmpExpr(op logic.CmpOp, l, r sqlparser.Expr) sqlparser.Expr {
+	switch op {
 	case logic.CmpIsNull:
-		return &sqlparser.IsNull{E: l}, nil
+		return &sqlparser.IsNull{E: l}
 	case logic.CmpIsNotNull:
-		return &sqlparser.IsNull{Negated: true, E: l}, nil
+		return &sqlparser.IsNull{Negated: true, E: l}
 	}
-	r, err := termExpr(bi.R, bind)
-	if err != nil {
-		return nil, err
-	}
-	var op sqlparser.BinaryOp
-	switch bi.Op {
-	case logic.CmpEq:
-		op = sqlparser.OpEq
-	case logic.CmpNe:
-		op = sqlparser.OpNe
-	case logic.CmpLt:
-		op = sqlparser.OpLt
-	case logic.CmpLe:
-		op = sqlparser.OpLe
-	case logic.CmpGt:
-		op = sqlparser.OpGt
-	case logic.CmpGe:
-		op = sqlparser.OpGe
-	default:
-		return nil, fmt.Errorf("sqlgen: unsupported builtin operator %s", bi.Op)
-	}
-	return &sqlparser.Binary{Op: op, L: l, R: r}, nil
+	return &sqlparser.Binary{Op: op.SQL(), L: l, R: r}
 }
 
 func termExpr(t logic.Term, bind bindings) (sqlparser.Expr, error) {
@@ -313,55 +307,6 @@ func termExpr(t logic.Term, bind bindings) (sqlparser.Expr, error) {
 		return e, nil
 	}
 	return nil, fmt.Errorf("sqlgen: variable %s is not bound (unsafe body)", t.Name)
-}
-
-// instantiatedRule pairs a rule body with the bindings of its head formals.
-type instantiatedRule struct {
-	body logic.Body
-	bind bindings
-}
-
-// instantiateRule prepares a rule for inlining under a derived-literal call:
-// head formals bind to the caller's argument expressions; body locals are
-// renamed fresh to avoid collisions.
-func (g *Generator) instantiateRule(r logic.Rule, args []logic.Term, callerBind bindings) (instantiatedRule, error) {
-	if len(args) != len(r.Head.Args) {
-		return instantiatedRule{}, fmt.Errorf("sqlgen: derived predicate %s called with %d args, rules have %d",
-			r.Head.Name, len(args), len(r.Head.Args))
-	}
-	body := r.Body.Clone()
-	// Rename all body variables fresh first (capture avoidance), keeping a
-	// map from old formals to new names.
-	rename := map[string]string{}
-	for _, v := range body.Vars() {
-		rename[v] = g.freshVar()
-	}
-	for old, nw := range rename {
-		body.Substitute(old, logic.Var(nw))
-	}
-	bind := bindings{}
-	for i, f := range r.Head.Args {
-		if f.IsConst {
-			continue
-		}
-		renamed, ok := rename[f.Name]
-		if !ok {
-			// Head formal not used in the body: no correlation needed.
-			continue
-		}
-		arg := args[i]
-		if arg.IsConst {
-			// Constant argument: substitute directly into the body.
-			body.Substitute(renamed, arg)
-			continue
-		}
-		expr, err := termExpr(arg, callerBind)
-		if err != nil {
-			return instantiatedRule{}, err
-		}
-		bind[renamed] = expr
-	}
-	return instantiatedRule{body: body, bind: bind}, nil
 }
 
 // expandPositiveDerived inlines positive derived literals by replacing them
@@ -393,7 +338,7 @@ func (g *Generator) expandPositiveDerived(body logic.Body, depth int) ([]logic.B
 	}
 	var out []logic.Body
 	for _, r := range rules {
-		inlined, err := g.inlineRuleLogic(r, call.Atom.Args)
+		inlined, err := r.Instantiate(call.Atom.Args, g.freshVar)
 		if err != nil {
 			return nil, err
 		}
@@ -409,30 +354,4 @@ func (g *Generator) expandPositiveDerived(body logic.Body, depth int) ([]logic.B
 		}
 	}
 	return out, nil
-}
-
-// inlineRuleLogic instantiates a rule body at the logic level: head formals
-// replaced by the call arguments, locals renamed fresh.
-func (g *Generator) inlineRuleLogic(r logic.Rule, args []logic.Term) (logic.Body, error) {
-	if len(args) != len(r.Head.Args) {
-		return logic.Body{}, fmt.Errorf("sqlgen: derived predicate %s called with %d args, rules have %d",
-			r.Head.Name, len(args), len(r.Head.Args))
-	}
-	body := r.Body.Clone()
-	rename := map[string]string{}
-	for _, v := range body.Vars() {
-		rename[v] = g.freshVar()
-	}
-	for old, nw := range rename {
-		body.Substitute(old, logic.Var(nw))
-	}
-	for i, f := range r.Head.Args {
-		if f.IsConst {
-			continue
-		}
-		if renamed, ok := rename[f.Name]; ok {
-			body.Substitute(renamed, args[i])
-		}
-	}
-	return body, nil
 }

@@ -819,8 +819,8 @@ func (p *Parser) parseNumericLiteral(negated bool) (*Literal, error) {
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
 			return nil, &SyntaxError{
-				Msg:  fmt.Sprintf("integer literal %s does not fit in 64 bits", text),
-				Pos:  t.Pos, Line: t.Line,
+				Msg: fmt.Sprintf("integer literal %s does not fit in 64 bits", text),
+				Pos: t.Pos, Line: t.Line,
 			}
 		}
 		return &Literal{Value: sqltypes.NewInt(v)}, nil
@@ -828,8 +828,8 @@ func (p *Parser) parseNumericLiteral(negated bool) (*Literal, error) {
 	v, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		return nil, &SyntaxError{
-			Msg:  fmt.Sprintf("numeric literal %s is out of range", text),
-			Pos:  t.Pos, Line: t.Line,
+			Msg: fmt.Sprintf("numeric literal %s is out of range", text),
+			Pos: t.Pos, Line: t.Line,
 		}
 	}
 	return &Literal{Value: sqltypes.NewFloat(v)}, nil

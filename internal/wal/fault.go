@@ -157,11 +157,11 @@ type file interface {
 // osFile is the production passthrough.
 type osFile os.File
 
-func (f *osFile) Write(p []byte) (int, error)                 { return (*os.File)(f).Write(p) }
-func (f *osFile) Close() error                                { return (*os.File)(f).Close() }
-func (f *osFile) Seek(off int64, whence int) (int64, error)   { return (*os.File)(f).Seek(off, whence) }
-func (f *osFile) Sync() error                                 { return (*os.File)(f).Sync() }
-func (f *osFile) Truncate(size int64) error                   { return (*os.File)(f).Truncate(size) }
+func (f *osFile) Write(p []byte) (int, error)               { return (*os.File)(f).Write(p) }
+func (f *osFile) Close() error                              { return (*os.File)(f).Close() }
+func (f *osFile) Seek(off int64, whence int) (int64, error) { return (*os.File)(f).Seek(off, whence) }
+func (f *osFile) Sync() error                               { return (*os.File)(f).Sync() }
+func (f *osFile) Truncate(size int64) error                 { return (*os.File)(f).Truncate(size) }
 
 // faultFile models the page cache honestly: writes accumulate in pending
 // and reach the real file only on Sync. A simulated crash flushes the

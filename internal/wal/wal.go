@@ -124,11 +124,11 @@ type Record struct {
 
 // Log is an append-only record log backed by one file.
 type Log struct {
-	f       file
-	path    string
-	nextSeq uint64
-	size    int64 // bytes acknowledged into the file (header + records)
-	o       Options
+	f        file
+	path     string
+	nextSeq  uint64
+	size     int64 // bytes acknowledged into the file (header + records)
+	o        Options
 	lastSync time.Time
 	buf      []byte
 	// tail holds the valid records found at open, until TakeTail.
