@@ -1,6 +1,6 @@
 // Micro-benchmarks that guard commit-path invariants:
 //
-//	BenchmarkSafeCommit                — 24 allocs/op, zero plan compilations
+//	BenchmarkSafeCommit                — 16 allocs/op, zero plan compilations
 //	BenchmarkSafeCommitMetrics         — the metrics surface adds +0 allocs
 //	BenchmarkSafeCommitBalancedDeletes — the check stays linear in the update
 //

@@ -323,6 +323,42 @@ func TestSharedLineAssertionRestores(t *testing.T) {
 	})
 }
 
+// TestDDLAfterInstall runs both kinds of DDL after \install: a table created
+// then, and a table dropped and created again then. Each stages its rows in
+// its own event pair and commits them.
+func TestDDLAfterInstall(t *testing.T) {
+	for _, tc := range []struct{ name, ddl string }{
+		{"create", "CREATE TABLE u (a INTEGER PRIMARY KEY);\nINSERT INTO u VALUES (1);\n"},
+		{"drop and recreate", "DROP TABLE t;\nCREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER);\nINSERT INTO t VALUES (1, 2);\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := runShell(t, "CREATE TABLE t (a INTEGER PRIMARY KEY);\n\\install\n"+tc.ddl+"CALL safeCommit;\n\\quit\n")
+			if strings.Contains(out, "error:") || !strings.Contains(out, "committed") {
+				t.Fatalf("want the staged row committed:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestDropTableRestrictedByAssertion: an installed assertion's views read
+// its table, so DROP TABLE on it fails, and the assertion still rejects a
+// violating commit.
+func TestDropTableRestrictedByAssertion(t *testing.T) {
+	out := runShell(t, `CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER);
+CREATE ASSERTION nonNegative CHECK (NOT EXISTS (SELECT * FROM t AS x WHERE x.b < 0));
+\install
+DROP TABLE t;
+INSERT INTO t VALUES (1, -1);
+CALL safeCommit;
+\quit
+`)
+	for _, want := range []string{"error: storage: cannot drop table t: view nonnegative", "rejected: 1 assertion violation(s)"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestBadFsyncFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-fsync", "sometimes"}, strings.NewReader(""), &out); err == nil {

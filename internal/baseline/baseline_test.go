@@ -76,9 +76,7 @@ func TestCheckDetectsViolation(t *testing.T) {
 
 func TestCheckAfterUsesShadowState(t *testing.T) {
 	db := setupDB(t)
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	// Stage a violating insertion as an event.
 	if err := db.Insert("ins_orders", sqltypes.Row{sqltypes.NewInt(3), sqltypes.NewFloat(0)}); err != nil {
 		t.Fatal(err)

@@ -213,18 +213,13 @@ func (t *Tool) DB() *storage.DB { return t.db }
 // registrations, including safeCommit).
 func (t *Tool) Engine() *engine.Engine { return t.eng }
 
-// Install creates the event tables for every base table and enables
-// capture: from here on INSERT/DELETE land in ins_T / del_T and base tables
-// stay untouched until SafeCommit. Assertions added before Install have
-// their incremental views compiled now (they reference event tables that
-// only just came into existence).
+// Install enables capture: every base table, and every table created from
+// here on, owns an ins_T / del_T pair, INSERT/DELETE land there, and base
+// tables stay untouched until SafeCommit. Assertions added before Install
+// have their incremental views compiled now (they reference event tables
+// that only just came into existence).
 func (t *Tool) Install() error {
-	if err := t.db.InstallEventTables(); err != nil {
-		return err
-	}
-	if err := t.db.SetCapture(true); err != nil {
-		return err
-	}
+	t.db.EnableCapture()
 	for _, name := range t.order {
 		for _, vname := range t.asserts[name].Views {
 			if err := t.compileView(vname); err != nil {

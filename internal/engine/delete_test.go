@@ -22,12 +22,7 @@ func deleteDB(t *testing.T, capture bool, rows string) (*storage.DB, *Engine) {
 		t.Fatal(err)
 	}
 	if capture {
-		if err := db.InstallEventTables(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.SetCapture(true); err != nil {
-			t.Fatal(err)
-		}
+		db.EnableCapture()
 	}
 	return db, eng
 }
@@ -148,12 +143,7 @@ func TestRangeDeleteIndependentOfTableSize(t *testing.T) {
 		if err := tb.EnsureIndex("k"); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.InstallEventTables(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.SetCapture(true); err != nil {
-			t.Fatal(err)
-		}
+		db.EnableCapture()
 		var res *ExecResult
 		run := func() {
 			if res, err = eng.ExecStatement(st); err != nil {

@@ -106,12 +106,7 @@ func compareDeletes(t *testing.T, round int, db *storage.DB, capture bool, rng *
 	if capture {
 		outcome = storage.DelTable("a")
 		for _, eng := range engines {
-			if err := eng.DB().InstallEventTables(); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.DB().SetCapture(true); err != nil {
-				t.Fatal(err)
-			}
+			eng.DB().EnableCapture()
 		}
 	}
 	for i := 0; i < 3; i++ {

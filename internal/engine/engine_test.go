@@ -361,12 +361,7 @@ func TestInsertColumnSubset(t *testing.T) {
 
 func TestCaptureModeRouting(t *testing.T) {
 	db, eng := newTestDB(t)
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatalf("capture: %v", err)
-	}
+	db.EnableCapture()
 	if _, err := eng.ExecSQL("INSERT INTO orders VALUES (4, 1.0)"); err != nil {
 		t.Fatalf("insert: %v", err)
 	}

@@ -10,22 +10,18 @@ import (
 )
 
 // nullSafeDB builds t(a, b, c) holding every combination of {NULL, 1, 2} per
-// column (some twice) and del_t, a random half of those combinations: the
-// shape of a base table and its deletion event table, NULLs included.
+// column (some twice) and, under capture, stages a random half of those
+// combinations in t's deletion event table del_t, NULLs included.
 func nullSafeDB(t *testing.T) (*storage.DB, *Engine) {
 	t.Helper()
 	db := storage.NewDB("nullsafe")
 	eng := New(db)
-	for _, s := range []string{
-		`CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER)`,
-		`CREATE TABLE del_t (a INTEGER, b INTEGER, c INTEGER)`,
-	} {
-		if _, err := eng.ExecSQL(s); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := eng.ExecSQL(`CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER)`); err != nil {
+		t.Fatal(err)
 	}
 	dom := []sqltypes.Value{sqltypes.Null, sqltypes.NewInt(1), sqltypes.NewInt(2)}
 	rng := rand.New(rand.NewSource(7))
+	var deleted []sqltypes.Row
 	for _, a := range dom {
 		for _, b := range dom {
 			for _, c := range dom {
@@ -36,11 +32,15 @@ func nullSafeDB(t *testing.T) (*storage.DB, *Engine) {
 					}
 				}
 				if rng.Intn(2) == 0 {
-					if err := db.Insert("del_t", row); err != nil {
-						t.Fatal(err)
-					}
+					deleted = append(deleted, row)
 				}
 			}
+		}
+	}
+	db.EnableCapture()
+	for _, row := range deleted {
+		if _, err := db.DeleteWhere("t", func(r sqltypes.Row) bool { return sqltypes.IdenticalRows(r, row) }); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return db, eng

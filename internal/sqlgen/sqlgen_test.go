@@ -70,9 +70,7 @@ func buildPipeline(t *testing.T, assertionSQL string, opts edc.Options) *pipelin
 	if _, err := eng.ExecSQL(schemaSQL); err != nil {
 		t.Fatalf("schema: %v", err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatalf("events: %v", err)
-	}
+	db.EnableCapture()
 	st, err := sqlparser.Parse(assertionSQL)
 	if err != nil {
 		t.Fatalf("parse assertion: %v", err)
@@ -146,9 +144,6 @@ func TestGeneratedViewMatchesPaperShape(t *testing.T) {
 
 func TestCleanInsertNoViolation(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	// Insert an order together with its line item: no violation.
 	mustExec(t, p.eng, `INSERT INTO orders VALUES (3, 30.0)`)
 	mustExec(t, p.eng, `INSERT INTO lineitem VALUES (3, 1, 2)`)
@@ -159,9 +154,6 @@ func TestCleanInsertNoViolation(t *testing.T) {
 
 func TestOrderWithoutLineItemViolates(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, p.eng, `INSERT INTO orders VALUES (4, 40.0)`)
 	if n := p.violations(t); n == 0 {
 		t.Error("inserting an order without line items must violate")
@@ -170,9 +162,6 @@ func TestOrderWithoutLineItemViolates(t *testing.T) {
 
 func TestDeletingLastLineItemViolates(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, p.eng, `DELETE FROM lineitem WHERE l_orderkey = 1`)
 	if n := p.violations(t); n == 0 {
 		t.Error("deleting the only line item of order 1 must violate")
@@ -181,9 +170,9 @@ func TestDeletingLastLineItemViolates(t *testing.T) {
 
 func TestDeletingOneOfTwoLineItemsIsClean(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	// Give order 1 a second line item first (no capture yet).
+	// Give order 1 a second line item first, and commit it.
 	mustExec(t, p.eng, `INSERT INTO lineitem VALUES (1, 2, 7)`)
-	if err := p.db.SetCapture(true); err != nil {
+	if err := p.db.ApplyEvents(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, p.eng, `DELETE FROM lineitem WHERE l_orderkey = 1 AND l_linenumber = 1`)
@@ -194,9 +183,6 @@ func TestDeletingOneOfTwoLineItemsIsClean(t *testing.T) {
 
 func TestDeleteThenReinsertOtherLineItemIsClean(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	// Delete order 1's only line item but insert a replacement in the same
 	// transaction: aux(o) holds via ins_lineitem → no violation.
 	mustExec(t, p.eng, `DELETE FROM lineitem WHERE l_orderkey = 1`)
@@ -208,9 +194,6 @@ func TestDeleteThenReinsertOtherLineItemIsClean(t *testing.T) {
 
 func TestDeletingOrderAndItsLineItemsIsClean(t *testing.T) {
 	p := buildPipeline(t, assertAtLeastOne, edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, p.eng, `DELETE FROM orders WHERE o_orderkey = 1`)
 	mustExec(t, p.eng, `DELETE FROM lineitem WHERE l_orderkey = 1`)
 	if n := p.violations(t); n != 0 {
@@ -229,9 +212,6 @@ func TestBuiltinAssertionViews(t *testing.T) {
 	p := buildPipeline(t, `CREATE ASSERTION positiveQty CHECK(
 		NOT EXISTS (SELECT * FROM lineitem AS l WHERE l.l_quantity <= 0))`,
 		edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	mustExec(t, p.eng, `INSERT INTO lineitem VALUES (1, 5, 0)`)
 	if n := p.violations(t); n == 0 {
 		t.Error("zero quantity insert must violate positiveQty")
@@ -248,9 +228,6 @@ func TestForeignKeyAssertionBothDirections(t *testing.T) {
 		NOT EXISTS (SELECT * FROM lineitem AS l WHERE NOT EXISTS (
 			SELECT * FROM orders AS o WHERE o.o_orderkey = l.l_orderkey)))`,
 		edc.DefaultOptions())
-	if err := p.db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
 	// Orphan line item insert.
 	mustExec(t, p.eng, `INSERT INTO lineitem VALUES (99, 1, 1)`)
 	if n := p.violations(t); n == 0 {

@@ -19,14 +19,16 @@ import (
 // assertion block after the database block), and a truncated or bit-flipped
 // file fails with a clear sentinel instead of a payload decode error.
 //
-// The version names the payload format. Version 2 is the sqltypes value
-// codec (see Save and Tool.Save). Version 1 was gob; it is recognised only to
-// say that it is no longer read.
+// The version names the payload format, one number for every magic. Version
+// 3 is the sqltypes value codec with each base table's pending events stored
+// after its rows (see Save and Tool.Save). Version 2 stored event tables as
+// tables of their own, and version 1 was gob; both are recognised only to say
+// that they are no longer read.
 
-const (
-	snapshotVersion = 2
-	gobEraVersion   = 1
-)
+const snapshotVersion = 3
+
+// retiredVersions names each earlier block format.
+var retiredVersions = [snapshotVersion]string{1: "gob-era", 2: "version-2"}
 
 // Block magics. Four bytes, human-greppable.
 const (
@@ -82,13 +84,13 @@ func ReadBlock(r io.Reader, magic string) ([]byte, error) {
 	if string(hdr[:4]) != magic {
 		return nil, fmt.Errorf("%w: want %s block, found %q", ErrSnapshotCorrupt, magic, hdr[:4])
 	}
-	switch hdr[4] {
-	case snapshotVersion:
-	case gobEraVersion:
-		return nil, fmt.Errorf("%w: %s block is version %d, the gob-era format; gob-era snapshots are no longer read (this build reads version %d)",
-			ErrSnapshotCorrupt, magic, gobEraVersion, snapshotVersion)
+	switch v := hdr[4]; {
+	case v == snapshotVersion:
+	case v > 0 && v < snapshotVersion:
+		return nil, fmt.Errorf("%w: %s block is version %d; %s snapshots are no longer read (this build reads version %d)",
+			ErrSnapshotCorrupt, magic, v, retiredVersions[v], snapshotVersion)
 	default:
-		return nil, fmt.Errorf("%w: unsupported %s block version %d", ErrSnapshotCorrupt, magic, hdr[4])
+		return nil, fmt.Errorf("%w: unsupported %s block version %d", ErrSnapshotCorrupt, magic, v)
 	}
 	plen := binary.LittleEndian.Uint64(hdr[5:13])
 	var payload bytes.Buffer

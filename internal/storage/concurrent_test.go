@@ -265,12 +265,7 @@ func TestApplyEventsAtomic(t *testing.T) {
 	if err := db.Insert("t", sqltypes.Row{ci(1), ci(10)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	// Stage: delete row 1, then two insertions claiming the same PK 2 —
 	// the batch must be refused as a whole.
 	if _, err := db.DeleteWhere("t", func(r sqltypes.Row) bool { return r[0].Int() == 1 }); err != nil {

@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -34,13 +34,15 @@ func IsEventTable(name string) (base string, isIns, ok bool) {
 	return "", false, false
 }
 
-// DB is a named collection of tables and views with an optional
+// DB is a named collection of base tables and views with an optional
 // event-capture mode.
 //
-// With capture enabled (TINTIN installed), Insert and Delete do not touch
-// the base tables: insertions land in ins_T and deletions in del_T, exactly
-// like the paper's INSTEAD OF triggers. ApplyEvents later replays them onto
-// the base tables.
+// Under capture (TINTIN installed) a base table owns its event pair, ins_T
+// and del_T: Insert and Delete do not touch the base table, insertions land
+// in its ins_T and deletions in its del_T, exactly like the paper's INSTEAD
+// OF triggers, and ApplyEvents later replays them onto the base table. The
+// pair is created with its table and dropped with it; it is reached by
+// pointer, and by name only through Table.
 //
 // Inside WhileFrozen — the only way to freeze it — the database is an
 // immutable snapshot: its DB-level writes fail, and any number of
@@ -48,7 +50,10 @@ func IsEventTable(name string) (base string, isIns, ok bool) {
 type DB struct {
 	Name string
 
+	// tables holds the base tables by name, base the same tables sorted by
+	// name. An event table is in neither: its base table owns it.
 	tables map[string]*Table
+	base   []*Table
 	views  map[string]*sqlparser.Select
 	// viewOrder keeps deterministic iteration for introspection commands.
 	viewOrder []string
@@ -86,10 +91,22 @@ type generation struct{ schema, mutations uint64 }
 
 func (db *DB) generation() generation {
 	g := generation{schema: db.schemaVersion}
-	for _, t := range db.tables {
+	for _, t := range db.base {
 		g.mutations += t.mutations
 	}
+	for _, t := range db.captured() {
+		g.mutations += t.ins.mutations + t.del.mutations
+	}
 	return g
+}
+
+// captured returns the base tables whose event pairs the event loops walk:
+// every base table under capture, none without.
+func (db *DB) captured() []*Table {
+	if db.capture {
+		return db.base
+	}
+	return nil
 }
 
 // NewDB returns an empty database.
@@ -101,18 +118,33 @@ func NewDB(name string) *DB {
 	}
 }
 
-// CreateTable adds a table with the given schema.
+// CreateTable adds a base table with the given schema and, under capture,
+// its event pair.
 func (db *DB) CreateTable(s *Schema) (*Table, error) {
-	if _, exists := db.tables[s.Name]; exists {
-		return nil, fmt.Errorf("storage: table %s already exists", s.Name)
-	}
-	if _, exists := db.views[s.Name]; exists {
-		return nil, fmt.Errorf("storage: %s already exists as a view", s.Name)
+	if err := db.nameFree(s.Name); err != nil {
+		return nil, err
 	}
 	t := NewTable(s)
+	if db.capture {
+		t.addEventPair()
+	}
 	db.tables[s.Name] = t
+	i, _ := slices.BinarySearchFunc(db.base, s.Name, func(b *Table, name string) int { return strings.Compare(b.Name(), name) })
+	db.base = slices.Insert(db.base, i, t)
 	db.schemaVersion++
 	return t, nil
+}
+
+// nameFree reports why name cannot name a new table or view: it is taken,
+// or it carries an event-table prefix, which would shadow a pair.
+func (db *DB) nameFree(name string) error {
+	if _, _, isEvt := IsEventTable(name); isEvt {
+		return fmt.Errorf("storage: %s: the prefixes %s and %s are reserved for event tables", name, InsPrefix, DelPrefix)
+	}
+	if _, isView := db.views[name]; isView || db.tables[name] != nil {
+		return fmt.Errorf("storage: %s already exists", name)
+	}
+	return nil
 }
 
 // SchemaVersion identifies the current table set; it changes whenever a
@@ -146,21 +178,52 @@ func (db *DB) CreateTableFromAST(ct *sqlparser.CreateTable) (*Table, error) {
 	return db.CreateTable(schema)
 }
 
-// DropTable removes a table (and its event tables, if present).
+// DropTable removes a base table and its event pair. It is RESTRICT: a
+// registered view that reads the table or its pair, or another table's
+// foreign key into it, blocks the drop.
 func (db *DB) DropTable(name string) error {
 	name = strings.ToLower(name)
-	if _, ok := db.tables[name]; !ok {
+	t := db.tables[name]
+	if t == nil {
 		return fmt.Errorf("storage: no table %s", name)
 	}
+	for _, vn := range db.viewOrder {
+		for _, ref := range sqlparser.TablesReferenced(db.views[vn]) {
+			if base, _, _ := IsEventTable(ref); ref == name || base == name {
+				return fmt.Errorf("storage: cannot drop table %s: view %s reads %s", name, vn, ref)
+			}
+		}
+	}
+	for _, other := range db.base {
+		for _, fk := range other.schema.ForeignKeys {
+			if fk.RefTable == name && other != t {
+				return fmt.Errorf("storage: cannot drop table %s: table %s has a foreign key into it", name, other.Name())
+			}
+		}
+	}
 	delete(db.tables, name)
-	delete(db.tables, InsTable(name))
-	delete(db.tables, DelTable(name))
+	db.base = slices.DeleteFunc(db.base, func(b *Table) bool { return b == t })
 	db.schemaVersion++
 	return nil
 }
 
-// Table returns the named table, or nil.
-func (db *DB) Table(name string) *Table { return db.tables[strings.ToLower(name)] }
+// Table returns the named table, or nil. An event-table name resolves
+// through its base table: ins_t is t's insertion table while capture is on.
+func (db *DB) Table(name string) *Table {
+	name = strings.ToLower(name)
+	base, isIns, isEvt := IsEventTable(name)
+	if !isEvt {
+		return db.tables[name]
+	}
+	t := db.tables[base]
+	switch {
+	case t == nil:
+		return nil
+	case isIns:
+		return t.ins
+	}
+	return t.del
+}
 
 // MustTable returns the named table or panics; for tests and generators
 // operating on schemas they just created.
@@ -172,36 +235,30 @@ func (db *DB) MustTable(name string) *Table {
 	return t
 }
 
-// TableNames returns all table names in sorted order.
+// TableNames returns every table name, event tables included, sorted.
 func (db *DB) TableNames() []string {
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
+	out := db.BaseTableNames()
+	for _, t := range db.captured() {
+		out = append(out, t.ins.Name(), t.del.Name())
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// BaseTableNames returns the non-event tables in sorted order.
+// BaseTableNames returns the base tables' names in sorted order.
 func (db *DB) BaseTableNames() []string {
-	var out []string
-	for n := range db.tables {
-		if _, _, isEvt := IsEventTable(n); !isEvt {
-			out = append(out, n)
-		}
+	out := make([]string, len(db.base))
+	for i, t := range db.base {
+		out[i] = t.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // CreateView registers a named view.
 func (db *DB) CreateView(name string, sel *sqlparser.Select) error {
 	name = strings.ToLower(name)
-	if _, exists := db.tables[name]; exists {
-		return fmt.Errorf("storage: %s already exists as a table", name)
-	}
-	if _, exists := db.views[name]; exists {
-		return fmt.Errorf("storage: view %s already exists", name)
+	if err := db.nameFree(name); err != nil {
+		return err
 	}
 	db.views[name] = sel
 	db.viewOrder = append(db.viewOrder, name)
@@ -230,59 +287,31 @@ func (db *DB) View(name string) *sqlparser.Select { return db.views[strings.ToLo
 // ViewNames returns view names in creation order.
 func (db *DB) ViewNames() []string { return append([]string(nil), db.viewOrder...) }
 
-// ForeignKeysInto returns, for every table, the foreign keys referencing ref.
-func (db *DB) ForeignKeysInto(ref string) map[string][]ForeignKey {
-	ref = strings.ToLower(ref)
-	out := make(map[string][]ForeignKey)
-	for name, t := range db.tables {
-		for _, fk := range t.Schema().ForeignKeys {
-			if fk.RefTable == ref {
-				out[name] = append(out[name], fk)
-			}
-		}
-	}
-	return out
-}
-
 // --- event capture ---
 
-// InstallEventTables creates ins_T / del_T for every base table that does
-// not have them yet. Event tables have the base schema without keys or
-// NOT NULL constraints (they hold pending, not-yet-validated tuples).
-func (db *DB) InstallEventTables() error {
-	for _, name := range db.BaseTableNames() {
-		base := db.tables[name]
-		for _, evt := range []string{InsTable(name), DelTable(name)} {
-			if db.tables[evt] != nil {
-				continue
-			}
-			s := base.Schema().Clone(evt)
-			for i := range s.Columns {
-				s.Columns[i].NotNull = false
-			}
-			if _, err := db.CreateTable(s); err != nil {
-				return err
-			}
+// EnableCapture turns event capture on for good: every base table gets its
+// ins_T / del_T pair now, and a table created later gets it at creation.
+func (db *DB) EnableCapture() {
+	if !db.capture {
+		db.capture = true
+		for _, t := range db.base {
+			t.addEventPair()
 		}
+		db.schemaVersion++
 	}
-	return nil
 }
 
-// SetCapture toggles event-capture mode. Enabling requires event tables.
-func (db *DB) SetCapture(on bool) error {
-	if on {
-		for _, name := range db.BaseTableNames() {
-			if db.tables[InsTable(name)] == nil || db.tables[DelTable(name)] == nil {
-				return fmt.Errorf("storage: event tables for %s missing; call InstallEventTables first", name)
-			}
-		}
+// addEventPair gives base table t its empty ins_T and del_T. They have t's
+// columns without keys or NOT NULL constraints: they hold pending,
+// not-yet-validated tuples.
+func (t *Table) addEventPair() {
+	cols := append([]Column(nil), t.schema.Columns...)
+	for i := range cols {
+		cols[i].NotNull = false
 	}
-	db.capture = on
-	return nil
+	t.ins = NewTable(&Schema{Name: InsTable(t.Name()), Columns: cols, colIndex: t.schema.colIndex})
+	t.del = NewTable(&Schema{Name: DelTable(t.Name()), Columns: cols, colIndex: t.schema.colIndex})
 }
-
-// CaptureEnabled reports whether updates are being captured.
-func (db *DB) CaptureEnabled() bool { return db.capture }
 
 // WhileFrozen runs fn with the database frozen as an immutable snapshot
 // view: Insert, DeleteWhere, DeleteRows and ApplyEvents fail while frozen,
@@ -322,104 +351,81 @@ func (db *DB) mustBeWritable(op string) {
 	}
 }
 
-// Insert stores a row in table name, or in ins_name under capture.
+// Insert stores a row in table name, or in its ins_T under capture.
 func (db *DB) Insert(name string, r sqltypes.Row) error {
-	if err := db.writable("Insert"); err != nil {
+	t, err := db.writeTarget("Insert", name)
+	switch {
+	case err != nil:
 		return err
-	}
-	name = strings.ToLower(name)
-	t := db.tables[name]
-	if t == nil {
-		return fmt.Errorf("storage: no table %s", name)
-	}
-	if _, _, isEvt := IsEventTable(name); db.capture && !isEvt {
-		return db.tables[InsTable(name)].Insert(r)
+	case t.ins != nil:
+		return t.ins.Insert(r)
 	}
 	return t.Insert(r)
 }
 
-// DeleteWhere removes rows matching match from table name; under capture the
-// matching rows are copied into del_name instead and the base table is left
-// untouched. Returns the number of affected rows.
+// DeleteWhere removes the rows of table name that match, through
+// DeleteRows: under capture they are copied into its del_T instead and the
+// base table is left untouched. Returns the number of affected rows.
 func (db *DB) DeleteWhere(name string, match func(sqltypes.Row) bool) (int, error) {
-	t, del, err := db.deleteTarget("DeleteWhere", name)
-	switch {
-	case err != nil:
-		return 0, err
-	case del == nil:
-		return t.Delete(match), nil
-	}
-	n := 0
-	t.Scan(func(r sqltypes.Row) bool {
-		if match(r) {
-			if err = stageDelete(del, r); err != nil {
-				return false
+	var rows []sqltypes.Row
+	if t := db.Table(name); t != nil {
+		t.Scan(func(r sqltypes.Row) bool {
+			if match(r) {
+				rows = append(rows, r)
 			}
-			n++
-		}
-		return true
-	})
-	return n, err
+			return true
+		})
+	}
+	return db.DeleteRows(name, rows)
 }
 
 // DeleteRows removes rows from table name, where each row is one the table
 // yielded (Scan, an index probe) with no write to the table since; under
-// capture they are copied into del_name instead, as DeleteWhere does, and the
-// base table is left untouched. It builds no index the table does not already
-// have; its cost is linear in len(rows) unless it must delete from a table
-// with neither a primary key nor an index, which it sweeps once. Returns the
-// number of affected rows.
+// capture they are copied into its del_T instead, once per distinct row, and
+// the base table is left untouched. It builds no index the table does not
+// already have; its cost is linear in len(rows) unless it must delete from a
+// table with neither a primary key nor an index, which it sweeps once.
+// Returns the number of affected rows.
 func (db *DB) DeleteRows(name string, rows []sqltypes.Row) (int, error) {
-	t, del, err := db.deleteTarget("DeleteRows", name)
+	t, err := db.writeTarget("DeleteRows", name)
 	switch {
 	case err != nil:
 		return 0, err
-	case del == nil:
+	case t.del == nil:
 		return t.removeRows(rows), nil
 	}
 	for _, r := range rows {
-		if err := stageDelete(del, r); err != nil {
+		if t.del.ContainsRow(r) {
+			continue // capture is idempotent
+		}
+		if err := t.del.Insert(r.Clone()); err != nil {
 			return 0, err
 		}
 	}
 	return len(rows), nil
 }
 
-// deleteTarget resolves the table a delete from name removes rows from and,
-// under capture of a base table, the del_ table they are staged in instead
-// (nil otherwise).
-func (db *DB) deleteTarget(op, name string) (t, del *Table, err error) {
+// writeTarget resolves the table a write to name goes to: a base table with
+// a pair stages the write there, any other table takes it directly.
+func (db *DB) writeTarget(op, name string) (*Table, error) {
 	if err := db.writable(op); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	name = strings.ToLower(name)
-	if t = db.tables[name]; t == nil {
-		return nil, nil, fmt.Errorf("storage: no table %s", name)
+	if t := db.Table(name); t != nil {
+		return t, nil
 	}
-	if _, _, isEvt := IsEventTable(name); db.capture && !isEvt {
-		del = db.tables[DelTable(name)]
-	}
-	return t, del, nil
-}
-
-// stageDelete copies r into del unless an identical row is staged already:
-// capture is idempotent.
-func stageDelete(del *Table, r sqltypes.Row) error {
-	if del.ContainsRow(r) {
-		return nil
-	}
-	return del.Insert(r.Clone())
+	return nil, fmt.Errorf("storage: no table %s", name)
 }
 
 // PendingEvents reports the base tables that currently have pending
 // insertions or deletions.
 func (db *DB) PendingEvents() (withIns, withDel []string) {
-	for _, name := range db.BaseTableNames() {
-		if t := db.tables[InsTable(name)]; t != nil && t.Len() > 0 {
-			withIns = append(withIns, name)
+	for _, t := range db.captured() {
+		if t.ins.Len() > 0 {
+			withIns = append(withIns, t.Name())
 		}
-		if t := db.tables[DelTable(name)]; t != nil && t.Len() > 0 {
-			withDel = append(withDel, name)
+		if t.del.Len() > 0 {
+			withDel = append(withDel, t.Name())
 		}
 	}
 	return withIns, withDel
@@ -431,10 +437,9 @@ func (db *DB) PendingEvents() (withIns, withDel []string) {
 func (db *DB) NormalizeEvents() int {
 	db.mustBeWritable("NormalizeEvents")
 	cancelled := 0
-	for _, name := range db.BaseTableNames() {
-		ins := db.tables[InsTable(name)]
-		del := db.tables[DelTable(name)]
-		if ins == nil || del == nil || ins.Len() == 0 || del.Len() == 0 {
+	for _, t := range db.captured() {
+		ins, del := t.ins, t.del
+		if ins.Len() == 0 || del.Len() == 0 {
 			continue
 		}
 		var dup []sqltypes.Row
@@ -465,13 +470,11 @@ func (db *DB) NormalizeEvents() int {
 // WAL appends only validated batches, so the log never holds a record the
 // in-memory apply would then refuse.
 func (db *DB) ValidateEvents() error {
-	for _, name := range db.BaseTableNames() {
-		ins := db.tables[InsTable(name)]
-		if ins == nil || ins.Len() == 0 {
+	for _, base := range db.captured() {
+		ins, del, name := base.ins, base.del, base.Name()
+		if ins.Len() == 0 {
 			continue
 		}
-		base := db.tables[name]
-		del := db.tables[DelTable(name)]
 		var seen map[string]struct{}
 		if base.pkIndex != nil {
 			seen = make(map[string]struct{}, ins.Len())
@@ -495,7 +498,7 @@ func (db *DB) ValidateEvents() error {
 			// The key is free unless a base row holds it; under a primary
 			// key that row is unique, so it is freed exactly when a pending
 			// deletion is identical to it.
-			if slot, exists := base.pkIndex[string(kb)]; exists && (del == nil || !del.ContainsRow(base.rows[slot])) {
+			if slot, exists := base.pkIndex[string(kb)]; exists && !del.ContainsRow(base.rows[slot]) {
 				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
 				return false
 			}
@@ -526,28 +529,24 @@ func (db *DB) ApplyEvents() error {
 			return err
 		}
 	}
-	for _, name := range db.BaseTableNames() {
-		base := db.tables[name]
-		del := db.tables[DelTable(name)]
-		if del != nil && del.Len() > 0 {
-			del.Scan(func(r sqltypes.Row) bool {
+	for _, base := range db.captured() {
+		if base.del.Len() > 0 {
+			base.del.Scan(func(r sqltypes.Row) bool {
 				base.DeleteRow(r)
 				return true
 			})
 		}
 	}
-	for _, name := range db.BaseTableNames() {
-		base := db.tables[name]
-		ins := db.tables[InsTable(name)]
-		if ins == nil || ins.Len() == 0 {
-			continue
+	for _, base := range db.captured() {
+		if base.ins.Len() > 0 {
+			// Staged rows were CheckRow'd against the same column types on
+			// the way in, and validation proved the keys: insert without
+			// either.
+			base.ins.Scan(func(r sqltypes.Row) bool {
+				base.insertValidated(r.Clone())
+				return true
+			})
 		}
-		// Staged rows were CheckRow'd against the same column types on the
-		// way in, and validation proved the keys: insert without either.
-		ins.Scan(func(r sqltypes.Row) bool {
-			base.insertValidated(r.Clone())
-			return true
-		})
 	}
 	db.TruncateEvents()
 	return nil
@@ -557,13 +556,9 @@ func (db *DB) ApplyEvents() error {
 // the rejection path).
 func (db *DB) TruncateEvents() {
 	db.mustBeWritable("TruncateEvents")
-	for _, name := range db.BaseTableNames() {
-		if t := db.tables[InsTable(name)]; t != nil {
-			t.Truncate()
-		}
-		if t := db.tables[DelTable(name)]; t != nil {
-			t.Truncate()
-		}
+	for _, t := range db.captured() {
+		t.ins.Truncate()
+		t.del.Truncate()
 	}
 }
 
@@ -572,8 +567,8 @@ func (db *DB) TruncateEvents() {
 // baseline applier).
 func (db *DB) CheckForeignKeys() []string {
 	var issues []string
-	for _, name := range db.BaseTableNames() {
-		t := db.tables[name]
+	for _, t := range db.base {
+		name := t.Name()
 		for _, fk := range t.Schema().ForeignKeys {
 			ref := db.tables[fk.RefTable]
 			if ref == nil {
@@ -605,24 +600,34 @@ func (db *DB) CheckForeignKeys() []string {
 	return issues
 }
 
-// Clone deep-copies the database (tables, rows and views). Indexes are not
-// copied; they rebuild lazily. Used by the non-incremental baseline to apply
-// an update to a shadow state.
+// Clone deep-copies the database (tables, event pairs, rows and views).
+// Indexes are not copied; they rebuild lazily. Used by the non-incremental
+// baseline to apply an update to a shadow state.
 func (db *DB) Clone() *DB {
 	nd := NewDB(db.Name)
-	for name, t := range db.tables {
-		nt := NewTable(t.Schema())
-		t.Scan(func(r sqltypes.Row) bool {
-			nt.insertValidated(r.Clone())
-			return true
-		})
-		nd.tables[name] = nt
+	nd.capture = db.capture
+	for _, t := range db.base {
+		nt := t.clone()
+		if db.capture {
+			nt.ins, nt.del = t.ins.clone(), t.del.clone()
+		}
+		nd.tables[t.Name()] = nt
+		nd.base = append(nd.base, nt)
 	}
 	for name, v := range db.views {
 		nd.views[name] = v
 	}
 	nd.viewOrder = append([]string(nil), db.viewOrder...)
-	nd.capture = db.capture
 	nd.schemaVersion = db.schemaVersion
 	return nd
+}
+
+// clone copies t's schema and rows into a new table without indexes.
+func (t *Table) clone() *Table {
+	nt := NewTable(t.schema)
+	t.Scan(func(r sqltypes.Row) bool {
+		nt.insertValidated(r.Clone())
+		return true
+	})
+	return nt
 }

@@ -27,44 +27,26 @@ func (db *DB) HasPendingEvents() bool {
 // encodes into a scratch buffer the database owns, so a warm encode allocates
 // nothing per row; like the write path, it requires exclusive access.
 func (db *DB) EncodeEvents(w io.Writer) error {
-	names := db.BaseTableNames()
 	n := 0
-	for _, name := range names {
-		if ins, del := db.eventTables(name); ins.Len()+del.Len() > 0 {
+	for _, t := range db.captured() {
+		if t.ins.Len()+t.del.Len() > 0 {
 			n++
 		}
 	}
 	b := sqltypes.AppendCount(db.encodeScratch[:0], n)
-	for _, name := range names {
-		ins, del := db.eventTables(name)
-		if ins.Len()+del.Len() == 0 {
+	for _, t := range db.captured() {
+		if t.ins.Len()+t.del.Len() == 0 {
 			continue
 		}
-		b = sqltypes.AppendString(b, name)
-		b = sqltypes.AppendCount(b, len(db.tables[name].schema.Columns))
-		b = ins.appendRows(b)
-		b = del.appendRows(b)
+		b = sqltypes.AppendString(b, t.Name())
+		b = sqltypes.AppendCount(b, len(t.schema.Columns))
+		b = t.ins.appendRows(b)
+		b = t.del.appendRows(b)
 	}
 	db.encodeScratch = b
 	_, err := w.Write(b)
 	return err
 }
-
-// eventTables returns base table name's ins_T and del_T; an absent one is an
-// empty stand-in, so callers need not check.
-func (db *DB) eventTables(name string) (ins, del *Table) {
-	ins, del = db.tables[InsTable(name)], db.tables[DelTable(name)]
-	if ins == nil {
-		ins = noEvents
-	}
-	if del == nil {
-		del = noEvents
-	}
-	return ins, del
-}
-
-// noEvents stands in for an event table that was never installed.
-var noEvents = &Table{}
 
 // DecodeEvents stages an EncodeEvents payload into this database's event
 // tables. The caller is expected to start from empty event tables (WAL replay
@@ -77,21 +59,30 @@ func (db *DB) DecodeEvents(payload []byte) error {
 		if c.Err() != nil {
 			break
 		}
-		ins, del := db.tables[InsTable(name)], db.tables[DelTable(name)]
-		if ins == nil || del == nil {
+		base := db.tables[name]
+		if base == nil || !db.capture {
 			return fmt.Errorf("storage: event batch: no event tables for %s", name)
 		}
-		if want := len(ins.schema.Columns); arity != uint64(want) {
+		if want := len(base.schema.Columns); arity != uint64(want) {
 			return fmt.Errorf("storage: event batch: table %s has %d columns, the record says %d", name, want, arity)
 		}
-		for _, t := range [2]*Table{ins, del} {
-			if err := t.decodeRows(c); err != nil {
-				return fmt.Errorf("storage: event batch: staging into %s: %w", t.Name(), err)
-			}
+		if err := base.decodeEvents(c); err != nil {
+			return fmt.Errorf("storage: event batch: %w", err)
 		}
 	}
 	if err := c.Done(); err != nil {
 		return fmt.Errorf("storage: event batch: %w", err)
+	}
+	return nil
+}
+
+// decodeEvents reads t's ins_T rows and then its del_T rows from c, each as
+// appendRows wrote them, and stages them.
+func (t *Table) decodeEvents(c *sqltypes.Cursor) error {
+	for _, et := range [2]*Table{t.ins, t.del} {
+		if err := et.decodeRows(c); err != nil {
+			return fmt.Errorf("staging into %s: %w", et.Name(), err)
+		}
 	}
 	return nil
 }

@@ -27,12 +27,7 @@ func kindsDB(tb testing.TB) *DB {
 	if _, err := db.CreateTable(s); err != nil {
 		tb.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		tb.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		tb.Fatal(err)
-	}
+	db.EnableCapture()
 	return db
 }
 

@@ -144,14 +144,3 @@ func (s *Schema) CheckRow(r sqltypes.Row) (sqltypes.Row, error) {
 	}
 	return out, nil
 }
-
-// Clone returns a deep copy of the schema under a new name
-// (used to derive event-table schemas).
-func (s *Schema) Clone(newName string) *Schema {
-	cols := append([]Column(nil), s.Columns...)
-	ns, err := NewSchema(newName, cols, nil, nil)
-	if err != nil {
-		panic("storage: Clone: " + err.Error()) // cannot happen: source schema was valid
-	}
-	return ns
-}

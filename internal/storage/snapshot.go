@@ -8,19 +8,23 @@ import (
 	"tintin/internal/sqltypes"
 )
 
-// Snapshot payload (the MagicDB block, version 2), in the sqltypes value
+// Snapshot payload (the MagicDB block, version 3), in the sqltypes value
 // codec:
 //
 //	database name, capture flag
-//	table count; per table, sorted by name:
+//	base table count; per base table, sorted by name:
 //	  name
 //	  column count; per column: name, type (a wire tag), NOT NULL flag
 //	  primary-key column names
 //	  foreign-key count; per key: columns, referenced table, referenced columns
 //	  row count, then every row's values back to back (the arity is the
 //	  column count)
+//	  under capture: its pending ins_T rows, then its del_T rows, each
+//	  written the same way
 //	view count; per view, in creation order: name, SELECT text
 //
+// Event tables are not listed: a base table's pair follows from the capture
+// flag, which comes first so that loading creates each pair with its table.
 // Views are persisted as SQL text and reparsed on load.
 
 // Save writes a complete snapshot of the database (schemas, rows, views,
@@ -36,10 +40,8 @@ func (db *DB) Save(w io.Writer) error {
 func (db *DB) appendSnapshot(b []byte) []byte {
 	b = sqltypes.AppendString(b, db.Name)
 	b = sqltypes.AppendBool(b, db.capture)
-	names := db.TableNames()
-	b = sqltypes.AppendCount(b, len(names))
-	for _, name := range names {
-		t := db.tables[name]
+	b = sqltypes.AppendCount(b, len(db.base))
+	for _, t := range db.base {
 		s := t.schema
 		b = sqltypes.AppendString(b, s.Name)
 		b = sqltypes.AppendCount(b, len(s.Columns))
@@ -56,6 +58,9 @@ func (db *DB) appendSnapshot(b []byte) []byte {
 			b = sqltypes.AppendStrings(b, fk.RefColumns)
 		}
 		b = t.appendRows(b)
+		if db.capture {
+			b = t.del.appendRows(t.ins.appendRows(b))
+		}
 	}
 	b = sqltypes.AppendCount(b, len(db.viewOrder))
 	for _, vn := range db.viewOrder {
@@ -85,7 +90,9 @@ func Load(r io.Reader) (*DB, error) {
 func decodeSnapshot(payload []byte) (*DB, error) {
 	c := sqltypes.NewCursor(payload)
 	db := NewDB(c.Str())
-	capture := c.Bool()
+	if c.Bool() {
+		db.EnableCapture()
+	}
 	for range c.Count(1) {
 		if err := db.decodeTable(c); err != nil {
 			return nil, err
@@ -107,15 +114,11 @@ func decodeSnapshot(payload []byte) (*DB, error) {
 	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	if capture {
-		if err := db.SetCapture(true); err != nil {
-			return nil, err
-		}
-	}
 	return db, nil
 }
 
-// decodeTable reads one table's schema and rows from c and creates it.
+// decodeTable reads one base table's schema, rows and (under capture)
+// pending events from c and creates it.
 func (db *DB) decodeTable(c *sqltypes.Cursor) error {
 	name := c.Str()
 	cols := make([]Column, c.Count(3)) // a column is at least 3 bytes
@@ -140,6 +143,9 @@ func (db *DB) decodeTable(c *sqltypes.Cursor) error {
 	}
 	if err := t.decodeRows(c); err != nil {
 		return fmt.Errorf("table %s: %w", name, err)
+	}
+	if db.capture {
+		return t.decodeEvents(c)
 	}
 	return nil
 }

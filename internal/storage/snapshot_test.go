@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -23,12 +24,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := db.Insert("orders", sqltypes.Row{sqltypes.NewInt(2), sqltypes.Null, sqltypes.Null}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	if err := db.Insert("orders", row(3, 3, 3.0)); err != nil { // pending event
 		t.Fatal(err)
 	}
@@ -48,8 +44,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != db.Name || !got.CaptureEnabled() {
-		t.Errorf("db meta lost: name=%s capture=%v", got.Name, got.CaptureEnabled())
+	if got.Name != db.Name || !got.capture {
+		t.Errorf("db meta lost: name=%s capture=%v", got.Name, got.capture)
 	}
 	if got.MustTable("orders").Len() != 2 {
 		t.Errorf("orders rows = %d, want 2", got.MustTable("orders").Len())
@@ -194,31 +190,44 @@ func TestSnapshotKeepsValuesExact(t *testing.T) {
 	}
 }
 
-// v1Block frames payload as a version-1 block: what a gob-era Save wrote.
-func v1Block(magic string, payload []byte) []byte {
-	b := append([]byte(magic), 1)
+// oldBlock frames payload as a block of an earlier version: version 1 is
+// what a gob-era Save wrote, version 2 what Save wrote while event tables
+// were tables of their own.
+func oldBlock(magic string, version byte, payload []byte) []byte {
+	b := append([]byte(magic), version)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
 	b = append(b, payload...)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[4:], crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// TestGobEraBlocksRejected: version 1 was gob, and no reader for it is kept.
-// A well-formed v1 block of either magic fails as corrupt, and says why.
+// TestGobEraBlocksRejected: version 1 was gob and version 2 listed event
+// tables as tables, and no reader for either is kept. A well-formed block of
+// either version and either magic fails as corrupt, and says why.
 func TestGobEraBlocksRejected(t *testing.T) {
 	gobish := []byte{0x0c, 0xff, 0x81, 0x02, 0x01, 0x02, 0xff, 0x82, 0x00, 0x01, 0x0c, 0x00, 0x00}
-	for _, magic := range []string{MagicDB, MagicAssertions} {
-		_, err := ReadBlock(bytes.NewReader(v1Block(magic, gobish)), magic)
-		if !errors.Is(err, ErrSnapshotCorrupt) {
-			t.Fatalf("%s v1 block: err = %v, want ErrSnapshotCorrupt", magic, err)
-		}
-		for _, want := range []string{magic, "version 1", "gob-era snapshots are no longer read"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s v1 block: error %q does not mention %q", magic, err, want)
+	v2 := NewDB("d").appendSnapshot(nil) // an empty database reads the same in versions 2 and 3
+	for _, old := range []struct {
+		version byte
+		payload []byte
+		says    string
+	}{
+		{1, gobish, "gob-era snapshots are no longer read"},
+		{2, v2, "version-2 snapshots are no longer read"},
+	} {
+		for _, magic := range []string{MagicDB, MagicAssertions} {
+			_, err := ReadBlock(bytes.NewReader(oldBlock(magic, old.version, old.payload)), magic)
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("%s v%d block: err = %v, want ErrSnapshotCorrupt", magic, old.version, err)
+			}
+			for _, want := range []string{magic, fmt.Sprintf("version %d", old.version), old.says} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s v%d block: error %q does not mention %q", magic, old.version, err, want)
+				}
 			}
 		}
-	}
-	if _, err := Load(bytes.NewReader(v1Block(MagicDB, gobish))); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("Load of a v1 snapshot = %v, want ErrSnapshotCorrupt", err)
+		if _, err := Load(bytes.NewReader(oldBlock(MagicDB, old.version, old.payload))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Fatalf("Load of a v%d snapshot = %v, want ErrSnapshotCorrupt", old.version, err)
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
 )
 
@@ -233,12 +235,7 @@ func TestEventTableNames(t *testing.T) {
 
 func TestInstallAndCapture(t *testing.T) {
 	db := newTestDB(t)
-	if err := db.SetCapture(true); err == nil {
-		t.Error("capture without event tables accepted")
-	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	if got := len(db.TableNames()); got != 6 {
 		t.Errorf("tables = %d, want 6", got)
 	}
@@ -251,13 +248,12 @@ func TestInstallAndCapture(t *testing.T) {
 		t.Error("event table kept NOT NULL")
 	}
 	// Idempotent.
-	if err := db.InstallEventTables(); err != nil {
-		t.Errorf("second install: %v", err)
+	before := db.Table("ins_orders")
+	db.EnableCapture()
+	if db.Table("ins_orders") != before || len(db.TableNames()) != 6 {
+		t.Error("second EnableCapture replaced the event tables")
 	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
-	if !db.CaptureEnabled() {
+	if !db.capture {
 		t.Error("capture flag")
 	}
 }
@@ -267,12 +263,7 @@ func TestCaptureRouting(t *testing.T) {
 	if err := db.Insert("orders", row(1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	if err := db.Insert("orders", row(2, 2, 2.0)); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +289,7 @@ func TestCaptureRouting(t *testing.T) {
 
 func TestNormalizeEvents(t *testing.T) {
 	db := newTestDB(t)
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	r := row(1, 1, 1.0)
 	if err := db.Insert("ins_orders", r.Clone()); err != nil {
 		t.Fatal(err)
@@ -324,12 +313,7 @@ func TestApplyEventsOrder(t *testing.T) {
 	if err := db.Insert("orders", row(1, 1, 1.0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	// Delete key 1 and insert a different row with the same key: deletions
 	// must apply before insertions or the PK check would reject it.
 	if _, err := db.DeleteWhere("orders", func(r sqltypes.Row) bool { return r[0].Int() == 1 }); err != nil {
@@ -345,16 +329,8 @@ func TestApplyEventsOrder(t *testing.T) {
 	if len(rows) != 1 || rows[0][1].Int() != 9 {
 		t.Errorf("rows after apply: %v", rows)
 	}
-	if !db.CaptureEnabled() {
+	if !db.capture {
 		t.Error("capture flag lost after apply")
-	}
-}
-
-func TestForeignKeysInto(t *testing.T) {
-	db := newTestDB(t)
-	fks := db.ForeignKeysInto("orders")
-	if len(fks["lineitem"]) != 1 {
-		t.Errorf("fks = %v", fks)
 	}
 }
 
@@ -397,9 +373,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestDropTableCascadesEvents(t *testing.T) {
 	db := newTestDB(t)
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	if err := db.DropTable("lineitem"); err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +382,123 @@ func TestDropTableCascadesEvents(t *testing.T) {
 	}
 	if err := db.DropTable("lineitem"); err == nil {
 		t.Error("double drop accepted")
+	}
+}
+
+// TestCreateTableAfterInstall: under capture, a table created later gets its
+// event pair at creation, and so does one dropped and created again. Rows
+// stage into the pair, and ApplyEvents moves them into the base table.
+func TestCreateTableAfterInstall(t *testing.T) {
+	db := newTestDB(t)
+	db.EnableCapture()
+	u, err := NewSchema("u", []Column{{Name: "a", Type: sqltypes.KindInt}}, []string{"a"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("lineitem"); err != nil {
+		t.Fatal(err)
+	}
+	li, err := NewSchema("lineitem", []Column{{Name: "l_orderkey", Type: sqltypes.KindInt}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(li); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"u", "lineitem"} {
+		if err := db.Insert(name, row(1)); err != nil {
+			t.Fatal(err)
+		}
+		if db.MustTable(name).Len() != 0 || db.MustTable(InsTable(name)).Len() != 1 {
+			t.Fatalf("%s: the insertion was not staged in %s", name, InsTable(name))
+		}
+	}
+	if err := db.ApplyEvents(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"u", "lineitem"} {
+		if db.MustTable(name).Len() != 1 || db.MustTable(InsTable(name)).Len() != 0 {
+			t.Errorf("%s: ApplyEvents did not move the staged row", name)
+		}
+	}
+	want := "[del_lineitem del_orders del_u ins_lineitem ins_orders ins_u lineitem orders u]"
+	if got := fmt.Sprint(db.TableNames()); got != want {
+		t.Errorf("tables = %s, want %s", got, want)
+	}
+}
+
+// TestEventPrefixesReserved: a table or view named ins_x or del_x would be
+// taken for an event table, so CreateTable and CreateView refuse both
+// prefixes, in any case.
+func TestEventPrefixesReserved(t *testing.T) {
+	db := NewDB("d")
+	for _, name := range []string{"ins_x", "del_x", "DEL_X"} {
+		s, err := NewSchema(name, []Column{{Name: "a", Type: sqltypes.KindInt}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateTable(s); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("CreateTable(%s) = %v, want the reserved-prefix error", name, err)
+		}
+		if err := db.CreateView(name, nil); err == nil || !strings.Contains(err.Error(), "reserved") {
+			t.Errorf("CreateView(%s) = %v, want the reserved-prefix error", name, err)
+		}
+	}
+	if len(db.TableNames())+len(db.ViewNames()) != 0 {
+		t.Fatalf("tables %v, views %v: want none", db.TableNames(), db.ViewNames())
+	}
+}
+
+// TestDropTableRestrict: DROP TABLE is RESTRICT. A view reading the table,
+// one reading its event table from a subquery, and another table's foreign
+// key into it each block the drop, and the error names the blocker. A
+// foreign key into the table itself does not.
+func TestDropTableRestrict(t *testing.T) {
+	db := newTestDB(t)
+	db.EnableCapture()
+	if err := db.DropTable("orders"); err == nil || !strings.Contains(err.Error(), "table lineitem") {
+		t.Errorf("DropTable(orders) under lineitem's foreign key = %v", err)
+	}
+	for _, v := range []struct{ name, sql string }{
+		{"reads", "SELECT * FROM lineitem AS l"},
+		{"staged", "SELECT * FROM orders AS o WHERE EXISTS (SELECT * FROM del_lineitem AS d WHERE d.l_orderkey = o.o_orderkey)"},
+	} {
+		sel, err := sqlparser.ParseSelect(v.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateView(v.name, sel); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.DropTable("lineitem"); err == nil || !strings.Contains(err.Error(), "view "+v.name) {
+			t.Errorf("DropTable(lineitem) under view %s = %v", v.name, err)
+		}
+		if err := db.DropView(v.name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.MustTable("lineitem").Len() != 0 || db.Table("ins_lineitem") == nil {
+		t.Fatal("a refused drop changed the table")
+	}
+	if err := db.DropTable("lineitem"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("orders"); err != nil {
+		t.Fatal(err)
+	}
+	self, err := NewSchema("tree", []Column{{Name: "id", Type: sqltypes.KindInt}, {Name: "parent", Type: sqltypes.KindInt}}, []string{"id"},
+		[]ForeignKey{{Columns: []string{"parent"}, RefTable: "tree", RefColumns: []string{"id"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(self); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("tree"); err != nil {
+		t.Errorf("a self-referencing table cannot be dropped: %v", err)
 	}
 }
 

@@ -45,6 +45,11 @@ type Table struct {
 	// requires exclusive access anyway. The concurrent read path
 	// (Index.ScanEqualScratch) brings caller-owned scratch and never touches it.
 	writeScratch []byte
+
+	// ins and del are a base table's event pair, ins_T and del_T, once
+	// capture is on (DB.EnableCapture); nil before, and nil on an event
+	// table.
+	ins, del *Table
 }
 
 type index struct {

@@ -47,9 +47,7 @@ func netEffectDB(t *testing.T, pk bool, rng *rand.Rand) *DB {
 			}
 		}
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	var del []sqltypes.Row
 	for _, r := range base {
 		if rng.Intn(2) == 0 {
@@ -107,9 +105,7 @@ func TestNormalizePreservesNetEffect(t *testing.T) {
 	if err := db.Insert("t", sqltypes.Row{ci(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	for _, table := range []string{InsTable("t"), InsTable("t"), DelTable("t")} {
 		if err := db.Insert(table, sqltypes.Row{ci(1)}); err != nil {
 			t.Fatal(err)
@@ -154,12 +150,7 @@ func newKeyedDB(t *testing.T, n int) *DB {
 			t.Fatal(err)
 		}
 	}
-	if err := db.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCapture(true); err != nil {
-		t.Fatal(err)
-	}
+	db.EnableCapture()
 	return db
 }
 
@@ -340,6 +331,44 @@ func TestTruncateAllocFree(t *testing.T) {
 			if err := tb.Insert(r); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestEventLoopsAllocFree: with capture on and nothing pending, every event
+// loop walks the base tables and reaches each pair by pointer, so a commit of
+// an empty batch over 8 tables allocates nothing.
+func TestEventLoopsAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	db := NewDB("d")
+	for i := 0; i < 8; i++ {
+		s, err := NewSchema(fmt.Sprintf("t%d", i), []Column{{Name: "id", Type: sqltypes.KindInt}}, []string{"id"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateTable(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.EnableCapture()
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	}
+	for _, loop := range []struct {
+		name string
+		run  func()
+	}{
+		{"PendingEvents", func() { db.PendingEvents() }},
+		{"NormalizeEvents", func() { db.NormalizeEvents() }},
+		{"ValidateEvents", func() { must(db.ValidateEvents()) }},
+		{"ApplyEvents", func() { must(db.ApplyEvents()) }},
+		{"TruncateEvents", db.TruncateEvents},
+	} {
+		loop.run() // warm-up
+		if n := allocsDuring(loop.run); n != 0 {
+			t.Errorf("%s over 8 empty event pairs allocated %d times", loop.name, n)
 		}
 	}
 }

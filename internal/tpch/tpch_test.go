@@ -189,9 +189,7 @@ func TestUpdateApplyDirectMatchesStageApply(t *testing.T) {
 	if err := u1.ApplyDirect(db1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db2.InstallEventTables(); err != nil {
-		t.Fatal(err)
-	}
+	db2.EnableCapture()
 	if err := u2.Stage(db2); err != nil {
 		t.Fatal(err)
 	}
