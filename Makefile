@@ -40,10 +40,11 @@ test-race:
 ## (incremental vs baseline verdicts across all commit-check modes), the
 ## group-commit verdicts of a multi-session stream, the parser round-trip
 ## property, the injectivity of the hash-key encoding (equal keys ⇔
-## identical rows), the persisted value codec's exact round trip, and
-## hostile bytes fed to the WAL record and snapshot decoders (error or
-## decode, never panic or over-allocate; what decodes re-encodes to the
-## same state).
+## identical rows), the hash index against a map model (bucket order
+## included, with forced hash collisions), the persisted value codec's exact
+## round trip, and hostile bytes fed to the WAL record and snapshot decoders
+## (error or decode, never panic or over-allocate; what decodes re-encodes
+## to the same state).
 ## The checked-in corpora under testdata/fuzz/ replay as seeds on every
 ## plain `go test` run; this target additionally mutates for FUZZTIME each.
 FUZZTIME ?= 30s
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/sqltypes -fuzz 'FuzzValueCodecRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -fuzz 'FuzzDecodeEvents$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -fuzz 'FuzzDecodeSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -fuzz 'FuzzHashIndex$$' -fuzztime $(FUZZTIME)
 
 ## bench: the three micro-benchmarks that guard commit-path invariants
 ## (alloc count, metrics overhead, linearity in the update).

@@ -34,7 +34,8 @@ func hasAggregates(sel *sqlparser.Select) bool {
 	return false
 }
 
-// aggState accumulates one aggregate function over the join result.
+// aggState accumulates one aggregate function over the join result; fn is
+// nil for a projection item that is not an aggregate call.
 type aggState struct {
 	fn    *sqlparser.FuncCall
 	count int64
@@ -44,36 +45,53 @@ type aggState struct {
 	mm    sqltypes.Value // running MIN/MAX
 }
 
-// runAggregate evaluates one select block in aggregate mode: every
-// projection item must be a single aggregate call (no GROUP BY support;
-// the paper's fragment has none either).
-func (e *Engine) runAggregate(ex *exec, sel *sqlparser.Select) (sqltypes.Row, error) {
-	states := make([]*aggState, len(sel.Columns))
+// newAggStates returns one state per projection item of an aggregate block.
+func newAggStates(sel *sqlparser.Select) []aggState {
+	states := make([]aggState, len(sel.Columns))
 	for i, it := range sel.Columns {
-		fc, ok := it.Expr.(*sqlparser.FuncCall)
-		if !ok || !fc.IsAggregate() {
-			return nil, fmt.Errorf("engine: aggregate queries must project aggregate functions only (item %d)", i+1)
+		if fc, ok := it.Expr.(*sqlparser.FuncCall); ok && fc.IsAggregate() {
+			states[i].fn = fc
 		}
-		states[i] = &aggState{fn: fc, isInt: true, first: true}
+	}
+	return states
+}
+
+// runAggregate evaluates the block in aggregate mode into ex.aggs: every
+// projection item must be a single aggregate call (no GROUP BY support;
+// the paper's fragment has none either). The states and the sink are the
+// exec's own, reset here, so a correlated aggregate subquery evaluates per
+// outer row without allocating. No defer, as in runExists: reset() repairs
+// a skipProject that a panic left set.
+func (ex *exec) runAggregate() error {
+	for i := range ex.aggs {
+		st := &ex.aggs[i]
+		if st.fn == nil {
+			return fmt.Errorf("engine: aggregate queries must project aggregate functions only (item %d)", i+1)
+		}
+		*st = aggState{fn: st.fn, isInt: true, first: true}
 	}
 	ex.skipProject = true
-	defer func() { ex.skipProject = false }()
-	err := ex.run(func(sqltypes.Row) (bool, error) {
-		for _, st := range states {
-			if err := st.accumulate(ex); err != nil {
-				return false, err
-			}
+	err := ex.run(ex.aggEmit)
+	ex.skipProject = false
+	return err
+}
+
+func (ex *exec) emitAggregate(sqltypes.Row) (bool, error) {
+	for i := range ex.aggs {
+		if err := ex.aggs[i].accumulate(ex); err != nil {
+			return false, err
 		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	row := make(sqltypes.Row, len(states))
-	for i, st := range states {
-		row[i] = st.result()
+	return true, nil
+}
+
+// aggregateRow returns a fresh row of the results runAggregate left.
+func (ex *exec) aggregateRow() sqltypes.Row {
+	row := make(sqltypes.Row, len(ex.aggs))
+	for i := range ex.aggs {
+		row[i] = ex.aggs[i].result()
 	}
-	return row, nil
+	return row
 }
 
 func (st *aggState) accumulate(ex *exec) error {
@@ -155,15 +173,14 @@ func (ex *exec) evalScalarSubquery(sq *sqlparser.ScalarSubquery) (sqltypes.Value
 	if err != nil {
 		return sqltypes.Null, err
 	}
-	if hasAggregates(q) {
-		row, err := ex.eng.runAggregate(sub, q)
-		if err != nil {
+	if sub.aggs != nil {
+		if err := sub.runAggregate(); err != nil {
 			return sqltypes.Null, err
 		}
-		if len(row) != 1 {
+		if len(sub.aggs) != 1 {
 			return sqltypes.Null, fmt.Errorf("engine: scalar subquery must produce one column")
 		}
-		return row[0], nil
+		return sub.aggs[0].result(), nil
 	}
 	if q.Star || len(q.Columns) != 1 {
 		return sqltypes.Null, fmt.Errorf("engine: scalar subquery must produce one column")

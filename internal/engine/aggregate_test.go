@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -152,5 +153,35 @@ func TestAggregateOutsideProjectionRejected(t *testing.T) {
 	eng := aggDB(t)
 	if _, err := eng.QuerySQL("SELECT region FROM sales WHERE COUNT(*) > 1"); err == nil {
 		t.Error("bare aggregate in WHERE accepted")
+	}
+}
+
+// TestAggregateSubqueryAllocFree: a correlated aggregate subquery runs once
+// per outer row, into states and a sink its exec owns and resets, so a warm
+// plan evaluates it without allocating.
+func TestAggregateSubqueryAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	eng := aggDB(t)
+	if _, err := eng.ExecSQL(`CREATE VIEW big AS SELECT s.region FROM sales AS s
+		WHERE (SELECT SUM(x.amount) FROM sales AS x WHERE x.region = s.region) > 100
+		   OR (SELECT COUNT(*) FROM sales AS x WHERE x.region = s.region AND x.bonus > 1.0) > 3
+		   OR (SELECT AVG(x.bonus) FROM sales AS x WHERE x.region = s.region) > 5
+		   OR (SELECT MAX(x.amount) FROM sales AS x WHERE x.region = s.region) < 0;`); err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.PrepareView("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func() {
+		if found, err := p.NonEmpty(); err != nil || found {
+			panic(fmt.Sprint("the view holds rows or failed: ", err))
+		}
+	}
+	check()
+	if n := allocsDuring(check); n != 0 {
+		t.Fatalf("a warm plan evaluating 4 aggregate subqueries per outer row allocated %d times", n)
 	}
 }

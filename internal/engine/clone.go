@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
 )
@@ -10,16 +12,15 @@ import (
 // (AST, conjunct placement, probe offsets and NULL-safe masks, key-set
 // range bounds, sources, index handles) is shared, while every piece of
 // per-execution state — scope tuples, probe value buffers, key scratch, level
-// visitors, IN-subquery memos — is private to the clone. Two goroutines may then execute the
-// original and the clone (or two clones) concurrently over a quiescent
-// database.
+// visitors, aggregate states, IN-subquery memos — is private to the clone.
+// Two goroutines may then execute the original and the clone (or two clones)
+// concurrently over a quiescent database.
 func (p *PreparedQuery) Clone() *PreparedQuery {
 	n := &PreparedQuery{
 		eng:           p.eng,
 		name:          p.name,
 		sel:           p.sel,
 		dedupe:        p.dedupe,
-		agg:           p.agg,
 		cols:          p.cols,
 		views:         p.views,
 		schemaVersion: p.schemaVersion,
@@ -80,6 +81,7 @@ func (c *cloner) cloneExec(ex *exec) *exec {
 		probeNullSafe: ex.probeNullSafe,
 		probeIdx:      append([]*storage.Index(nil), ex.probeIdx...),
 		ranges:        ex.ranges,
+		aggs:          slices.Clone(ex.aggs),
 	}
 	n.probeVals = make([][]sqltypes.Value, len(ex.probeVals))
 	for k, pv := range ex.probeVals {

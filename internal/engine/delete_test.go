@@ -117,20 +117,22 @@ func TestExplainRangeAccess(t *testing.T) {
 
 // TestRangeDeleteIndependentOfTableSize: the same 10-key range DELETE, under
 // capture, allocates exactly as much against a 1k-row table as against a
-// 50k-row one. Its WHERE clause leads with a correlated aggregate, which
-// allocates its state each time it runs, so the count also counts the rows
-// the DELETE visits: a level that scanned would show the table size here.
+// 50k-row one, and visits only the rows in its range. Its WHERE clause leads
+// with a correlated aggregate, evaluated per visited row, and then divides by
+// k - 499, which fails on the one row just below the range: a level that
+// scanned would visit that row, as the DisableIndexProbes run shows.
 func TestRangeDeleteIndependentOfTableSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	st, err := sqlparser.Parse("DELETE FROM t WHERE (SELECT COUNT(*) FROM t AS u WHERE u.k = t.k) = 1 AND k >= 500 AND k < 510")
+	st, err := sqlparser.Parse("DELETE FROM t WHERE (SELECT COUNT(*) FROM t AS u WHERE u.k = t.k) = 1 AND 1 / (k - 499) > 0 AND k >= 500 AND k < 510")
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(rows int) uint64 {
+	allocs := func(rows int, scan bool) uint64 {
 		db := storage.NewDB("d")
 		eng := New(db)
+		eng.DisableIndexProbes = scan
 		if _, err := eng.ExecSQL("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)"); err != nil {
 			t.Fatal(err)
 		}
@@ -145,6 +147,12 @@ func TestRangeDeleteIndependentOfTableSize(t *testing.T) {
 		}
 		db.EnableCapture()
 		var res *ExecResult
+		if scan {
+			if _, err := eng.ExecStatement(st); err == nil || !strings.Contains(err.Error(), "division by zero") {
+				t.Fatalf("a scanning DELETE returned %v, want the division by zero of the row below the range", err)
+			}
+			return 0
+		}
 		run := func() {
 			if res, err = eng.ExecStatement(st); err != nil {
 				panic(err)
@@ -158,7 +166,8 @@ func TestRangeDeleteIndependentOfTableSize(t *testing.T) {
 		}
 		return n
 	}
-	if small, large := allocs(1000), allocs(50000); small != large {
+	allocs(1000, true)
+	if small, large := allocs(1000, false), allocs(50000, false); small != large {
 		t.Fatalf("a 10-key range DELETE allocated %d times over 1k rows, %d over 50k", small, large)
 	}
 }

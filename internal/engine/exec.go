@@ -124,6 +124,11 @@ type exec struct {
 	scalarVal  sqltypes.Value
 	scalarN    int
 	scalarEmit func(sqltypes.Row) (bool, error)
+	// aggs holds, when the block projects aggregates (hasAggregates,
+	// resolved at plan time), one state per projection item; runAggregate
+	// resets them and accumulates through aggEmit. nil for any other block.
+	aggs    []aggState
+	aggEmit func(sqltypes.Row) (bool, error)
 	// keyScratch is the probe-key encoding buffer. It lives on the exec —
 	// not the table — so every worker running its own exec clone probes a
 	// shared table without contending on scratch state.
@@ -175,6 +180,7 @@ func (ex *exec) initLevels() {
 	ex.existsEmit = ex.emitExists
 	ex.inEmit = ex.emitInProbe
 	ex.scalarEmit = ex.emitScalar
+	ex.aggEmit = ex.emitAggregate
 }
 
 func (ex *exec) emitExists(sqltypes.Row) (bool, error) {
@@ -336,6 +342,9 @@ func (e *Engine) newExec(sel *sqlparser.Select, outer *scope, chain []string) (*
 		}
 	}
 	sc.tuple = make([]sqltypes.Row, len(sc.srcs))
+	if hasAggregates(sel) {
+		ex.aggs = newAggStates(sel)
+	}
 	ex.filters = make([][]sqlparser.Expr, len(sc.srcs))
 	ex.probes = make([][]probe, len(sc.srcs))
 	ex.ranges = make([][]rangeBound, len(sc.srcs))

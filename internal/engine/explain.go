@@ -91,13 +91,13 @@ func (e *Engine) ExplainView(name string) (*ExplainPlan, error) {
 		Cached: cached,
 	}
 	for i, ex := range p.branches {
-		out.Branches = append(out.Branches, explainExec(ex, p.dedupe[i], p.agg[i]))
+		out.Branches = append(out.Branches, explainExec(ex, p.dedupe[i]))
 	}
 	return out, nil
 }
 
-func explainExec(ex *exec, distinct, aggregate bool) ExplainBranch {
-	br := ExplainBranch{Distinct: distinct, Aggregate: aggregate}
+func explainExec(ex *exec, distinct bool) ExplainBranch {
+	br := ExplainBranch{Distinct: distinct, Aggregate: ex.aggs != nil}
 	for _, f := range ex.prefilters {
 		br.Prefilters = append(br.Prefilters, sqlparser.FormatExpr(f))
 	}
@@ -166,7 +166,7 @@ func explainSubplans(ex *exec) []ExplainSubquery {
 			if err != nil {
 				continue
 			}
-			sq.Branches = append(sq.Branches, explainExec(sub, cur.Distinct, hasAggregates(cur)))
+			sq.Branches = append(sq.Branches, explainExec(sub, cur.Distinct))
 		}
 		out = append(out, sq)
 		return false

@@ -26,10 +26,9 @@ type PreparedQuery struct {
 
 	// branches holds one planned exec per UNION branch.
 	branches []*exec
-	// dedupe / agg are the per-branch DISTINCT-or-union-distinct and
-	// aggregate-projection flags, precomputed off the hot path.
+	// dedupe holds the per-branch DISTINCT-or-union-distinct flags,
+	// precomputed off the hot path.
 	dedupe []bool
-	agg    []bool
 	cols   []string
 	// views lists the nested plans of the views read anywhere in the tree
 	// (FROM items of the branches and of their subqueries): the plan is
@@ -184,7 +183,6 @@ func (e *Engine) prepare(name string, sel *sqlparser.Select, chain []string) (*P
 		}
 		p.branches = append(p.branches, ex)
 		p.dedupe = append(p.dedupe, cur.Distinct || unionDistinct)
-		p.agg = append(p.agg, hasAggregates(cur))
 		p.views = append(p.views, ex.views...)
 	}
 	return p, nil
@@ -278,12 +276,11 @@ func (p *PreparedQuery) QueryLimitInto(limit int, res *Result) error {
 			break
 		}
 		ex.reset()
-		if p.agg[i] {
-			row, err := p.eng.runAggregate(ex, ex.sel)
-			if err != nil {
+		if ex.aggs != nil {
+			if err := ex.runAggregate(); err != nil {
 				return err
 			}
-			res.Rows = append(res.Rows, row)
+			res.Rows = append(res.Rows, ex.aggregateRow())
 			continue
 		}
 		dedupe := p.dedupe[i]

@@ -365,6 +365,9 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
+	if len(ct.Columns) == 0 {
+		return nil, p.errorf("table %s has no columns", name)
+	}
 	return ct, nil
 }
 

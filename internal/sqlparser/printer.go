@@ -209,8 +209,13 @@ func writeExpr(b *strings.Builder, e Expr, parent int) {
 		b.WriteString("NOT ")
 		writeExpr(b, x.E, p)
 	case *Neg:
+		var operand strings.Builder
+		writeExpr(&operand, x.E, p)
 		b.WriteString("-")
-		writeExpr(b, x.E, p)
+		if strings.HasPrefix(operand.String(), "-") {
+			b.WriteString(" ") // "--" would open a comment
+		}
+		b.WriteString(operand.String())
 	case *Exists:
 		if x.Negated {
 			b.WriteString("NOT ")

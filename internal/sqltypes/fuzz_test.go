@@ -108,8 +108,8 @@ func encodeRowPair(a, b Row) []byte {
 }
 
 // FuzzEncodeKeyInjective checks that Row.Key is equal exactly when
-// IdenticalRows holds. Every consumer of the key — hash-index buckets, the
-// primary-key map, IN-subquery sets, DISTINCT — trusts a key match without
+// IdenticalRows holds. Every consumer of the key — hash indexes, the primary
+// key's included, IN-subquery sets, DISTINCT — trusts a key match without
 // comparing the values again.
 //
 // Run with:

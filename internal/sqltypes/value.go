@@ -244,9 +244,9 @@ func compareIntFloat(i int64, f float64) int {
 
 // EncodeKey appends an encoding of v to dst that is injective up to
 // Identical, on single values and on concatenations of them: two rows of
-// equal arity have equal keys exactly when IdenticalRows holds. Hash-index
-// buckets, the primary-key map, IN-subquery sets and DISTINCT all trust a key
-// match without re-comparing, so a collision there is a wrong answer.
+// equal arity have equal keys exactly when IdenticalRows holds. Hash indexes
+// (the primary key's included), IN-subquery sets and DISTINCT all trust a key
+// match without re-comparing values, so a collision there is a wrong answer.
 //
 // Numerically equal INTEGER and REAL values encode identically so that hash
 // index probes agree with Compare; an INTEGER that float64 cannot represent

@@ -303,7 +303,8 @@ func (db *DB) EnableCapture() {
 
 // addEventPair gives base table t its empty ins_T and del_T. They have t's
 // columns without keys or NOT NULL constraints: they hold pending,
-// not-yet-validated tuples.
+// not-yet-validated tuples. Under a primary key, ins_T gets an index over the
+// key's columns, which ValidateEvents reads.
 func (t *Table) addEventPair() {
 	cols := append([]Column(nil), t.schema.Columns...)
 	for i := range cols {
@@ -311,6 +312,9 @@ func (t *Table) addEventPair() {
 	}
 	t.ins = NewTable(&Schema{Name: InsTable(t.Name()), Columns: cols, colIndex: t.schema.colIndex})
 	t.del = NewTable(&Schema{Name: DelTable(t.Name()), Columns: cols, colIndex: t.schema.colIndex})
+	if t.pk != nil {
+		t.insKeys = t.ins.ensureIndexOffsets(t.schema.pkOffs)
+	}
 }
 
 // WhileFrozen runs fn with the database frozen as an immutable snapshot
@@ -475,37 +479,29 @@ func (db *DB) ValidateEvents() error {
 		if ins.Len() == 0 {
 			continue
 		}
-		var seen map[string]struct{}
-		if base.pkIndex != nil {
-			seen = make(map[string]struct{}, ins.Len())
-		}
-		var verr error
-		ins.Scan(func(r sqltypes.Row) bool {
+		for slot, r := range ins.rows {
+			if !ins.alive[slot] {
+				continue
+			}
 			checked, err := base.schema.CheckRow(r)
 			if err != nil {
-				verr = fmt.Errorf("storage: applying events to %s: %w", name, err)
-				return false
+				return fmt.Errorf("storage: applying events to %s: %w", name, err)
 			}
-			if seen == nil {
-				return true
+			if base.pk == nil {
+				continue
 			}
-			kb := base.keyOn(checked, base.schema.pkOffs)
-			if _, dup := seen[string(kb)]; dup {
-				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s among pending insertions", name, checked)
-				return false
+			// Staged rows already carry the column types, so ins_T's index
+			// over the key holds checked's key: the insertions that claim
+			// it. The later of two in slot order is the one reported.
+			if slices.ContainsFunc(base.insKeys.rowBucket(r), func(s int) bool { return s < slot }) {
+				return fmt.Errorf("storage: applying events to %s: duplicate primary key %s among pending insertions", name, checked)
 			}
-			seen[string(kb)] = struct{}{}
 			// The key is free unless a base row holds it; under a primary
 			// key that row is unique, so it is freed exactly when a pending
 			// deletion is identical to it.
-			if slot, exists := base.pkIndex[string(kb)]; exists && !del.ContainsRow(base.rows[slot]) {
-				verr = fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
-				return false
+			if held := base.pk.rowBucket(checked); held != nil && !del.ContainsRow(base.rows[held[0]]) {
+				return fmt.Errorf("storage: applying events to %s: duplicate primary key %s", name, checked)
 			}
-			return true
-		})
-		if verr != nil {
-			return verr
 		}
 	}
 	db.validated = db.generation()
@@ -607,9 +603,12 @@ func (db *DB) Clone() *DB {
 	nd := NewDB(db.Name)
 	nd.capture = db.capture
 	for _, t := range db.base {
-		nt := t.clone()
+		nt := NewTable(t.schema)
+		nt.copyRows(t)
 		if db.capture {
-			nt.ins, nt.del = t.ins.clone(), t.del.clone()
+			nt.addEventPair()
+			nt.ins.copyRows(t.ins)
+			nt.del.copyRows(t.del)
 		}
 		nd.tables[t.Name()] = nt
 		nd.base = append(nd.base, nt)
@@ -622,12 +621,10 @@ func (db *DB) Clone() *DB {
 	return nd
 }
 
-// clone copies t's schema and rows into a new table without indexes.
-func (t *Table) clone() *Table {
-	nt := NewTable(t.schema)
-	t.Scan(func(r sqltypes.Row) bool {
-		nt.insertValidated(r.Clone())
+// copyRows copies src's rows into t, which has src's columns.
+func (t *Table) copyRows(src *Table) {
+	src.Scan(func(r sqltypes.Row) bool {
+		t.insertValidated(r.Clone())
 		return true
 	})
-	return nt
 }

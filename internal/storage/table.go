@@ -9,13 +9,17 @@ import (
 // Table is a tombstoned in-memory row store with hash indexes.
 //
 // Rows keep their slot for their lifetime; deletion marks a tombstone and
-// recycles the slot on a free list. Indexes map encoded key bytes to slot
-// lists and are maintained eagerly on both insert and delete — lookups
-// never write, which is what makes concurrent reading sound.
+// recycles the slot on a free list. The primary key, the secondary indexes
+// and the tuple-identity index are all one type, index, from a row's encoded
+// key to the slots holding it. Every index is maintained eagerly on both
+// insert and delete: lookups never write, which is what makes concurrent
+// reading sound.
 //
-// Writes encode keys into the table's scratch buffer and look maps up via the
-// non-allocating m[string(b)] form; Truncate clears maps in place, so an event
-// table keeps its map capacity from one commit to the next.
+// Writes encode keys into the table's scratch buffer, and an index keeps its
+// entries and emptied buckets through deletes and Truncate. A warm table
+// therefore inserts and deletes without allocating, whether it is an event
+// table truncated every commit or a base table whose old keys are deleted
+// as new ones arrive.
 //
 // Concurrency: the read path touches no table-owned scratch, so any number of
 // goroutines may read concurrently (Scan, Rows, Len, Index.ScanEqualScratch
@@ -31,30 +35,28 @@ type Table struct {
 	free  []int
 	live  int
 
-	pkIndex map[string]int    // primary key -> slot (only when PK declared)
+	pk      *index            // over schema.pkOffs, one slot per bucket; nil without a primary key
 	indexes map[string]*index // column-set key -> secondary index
-	// mutations counts row writes (insertRaw, deleteSlot, Truncate); it only
-	// grows, so an unchanged count proves the rows are unchanged.
+	// mutations counts row writes (insertValidated, deleteSlot, Truncate);
+	// it only grows, so an unchanged count proves the rows are unchanged.
 	mutations uint64
 
 	// allCols is [0..len(columns)), precomputed for tuple-identity probes.
 	allCols []int
 	// idIx caches the tuple-identity index (all columns) once built.
 	idIx *index
-	// writeScratch is keyOn's scratch, for the write path only, which
-	// requires exclusive access anyway. The concurrent read path
+	// writeScratch is the key scratch of the write path (index.locate),
+	// which requires exclusive access anyway. The concurrent read path
 	// (Index.ScanEqualScratch) brings caller-owned scratch and never touches it.
 	writeScratch []byte
 
 	// ins and del are a base table's event pair, ins_T and del_T, once
 	// capture is on (DB.EnableCapture); nil before, and nil on an event
-	// table.
+	// table. insKeys is ins_T's index over this table's primary key, which
+	// ValidateEvents reads for duplicates among the pending insertions; nil
+	// without a primary key.
 	ins, del *Table
-}
-
-type index struct {
-	cols  []int
-	slots map[string][]int
+	insKeys  *index
 }
 
 // NewTable creates an empty table with the given schema.
@@ -68,7 +70,7 @@ func NewTable(schema *Schema) *Table {
 		t.allCols[i] = i
 	}
 	if len(schema.PrimaryKey) > 0 {
-		t.pkIndex = make(map[string]int)
+		t.pk = newIndex(t, schema.pkOffs)
 	}
 	return t
 }
@@ -110,11 +112,10 @@ func (t *Table) ensureIndexOffsets(offs []int) *index {
 	if ix, ok := t.indexes[key]; ok {
 		return ix
 	}
-	ix := &index{cols: append([]int(nil), offs...), slots: make(map[string][]int)}
+	ix := newIndex(t, append([]int(nil), offs...))
 	for slot, r := range t.rows {
 		if t.alive[slot] {
-			kb := t.keyOn(r, ix.cols)
-			ix.slots[string(kb)] = append(ix.slots[string(kb)], slot)
+			ix.add(r, slot)
 		}
 	}
 	t.indexes[key] = ix
@@ -134,27 +135,17 @@ func (t *Table) Insert(r sqltypes.Row) error {
 	if err != nil {
 		return err
 	}
-	if t.pkIndex != nil {
-		if _, dup := t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))]; dup {
-			return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
-		}
+	if t.pk != nil && t.pk.rowBucket(r) != nil {
+		return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
 	}
 	t.insertValidated(r)
 	return nil
 }
 
 // insertValidated stores a row already proven to satisfy the schema and not
-// to collide on the primary key: no CheckRow, no duplicate probe.
+// to collide on the primary key (no CheckRow, no duplicate probe) in a free
+// slot, and maintains every index.
 func (t *Table) insertValidated(r sqltypes.Row) {
-	slot := t.insertRaw(r)
-	if t.pkIndex != nil {
-		t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))] = slot
-	}
-}
-
-// insertRaw stores r in a free slot, maintains the secondary indexes and
-// returns the slot.
-func (t *Table) insertRaw(r sqltypes.Row) int {
 	var slot int
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
@@ -168,11 +159,12 @@ func (t *Table) insertRaw(r sqltypes.Row) int {
 	}
 	t.live++
 	t.mutations++
-	for _, ix := range t.indexes {
-		kb := t.keyOn(r, ix.cols) // only the assignment copies the key
-		ix.slots[string(kb)] = append(ix.slots[string(kb)], slot)
+	if t.pk != nil {
+		t.pk.add(r, slot)
 	}
-	return slot
+	for _, ix := range t.indexes {
+		ix.add(r, slot)
+	}
 }
 
 // Scan calls yield for every live row; returning false stops the scan.
@@ -195,27 +187,6 @@ func (t *Table) Rows() []sqltypes.Row {
 		return true
 	})
 	return out
-}
-
-// lookup returns the index's bucket for vals. nullSafe[i] says how a NULL in
-// vals[i] compares: under a plain equality it equals nothing, so the bucket
-// is nil; under a NULL-safe one (row identity, where NULL matches NULL) it is
-// looked up like any other value, which works because EncodeKey encodes NULL
-// and the index is maintained over every row. A nil mask means all plain.
-// The probe key is encoded into *scratch, which is grown and written back so
-// a caller reusing one scratch across probes never allocates. lookup itself
-// is read-only: safe for concurrent use as long as each caller brings its own
-// scratch and the table is not being mutated.
-func (ix *index) lookup(scratch *[]byte, vals []sqltypes.Value, nullSafe []bool) []int {
-	kb := (*scratch)[:0]
-	for i, v := range vals {
-		if v.IsNull() && (nullSafe == nil || !nullSafe[i]) {
-			return nil
-		}
-		kb = v.EncodeKey(kb)
-	}
-	*scratch = kb
-	return ix.slots[string(kb)]
 }
 
 // probeSlots resolves (building if needed) the index on offs and probes it.
@@ -282,24 +253,11 @@ func (x *Index) ScanEqualScratch(scratch *[]byte, vals []sqltypes.Value, nullSaf
 
 // Keys returns the number of distinct keys the index holds. Like
 // ScanEqualScratch it is read-only.
-func (x *Index) Keys() int { return len(x.ix.slots) }
+func (x *Index) Keys() int { return x.ix.n }
 
 // ContainsEqual reports whether any live row matches vals at offs.
 func (t *Table) ContainsEqual(offs []int, vals []sqltypes.Value) bool {
 	return len(t.probeSlots(offs, vals)) > 0
-}
-
-// keyOn encodes r's projection onto cols into the write-path scratch. The
-// result aliases the scratch and is valid until the next keyOn. Over allCols
-// it is the tuple-identity key (NULL encodes like any other value, so NULL
-// matches NULL, agreeing with IdenticalRows).
-func (t *Table) keyOn(r sqltypes.Row, cols []int) []byte {
-	kb := t.writeScratch[:0]
-	for _, c := range cols {
-		kb = r[c].EncodeKey(kb)
-	}
-	t.writeScratch = kb
-	return kb
 }
 
 // identityIndex resolves (building once) the all-columns index.
@@ -311,18 +269,11 @@ func (t *Table) identityIndex() *index {
 }
 
 // ContainsRow reports whether an identical row exists (tuple identity:
-// NULL matches NULL). Write-path scratch: requires exclusive access.
+// NULL matches NULL). The identity index's bucket for r holds exactly the
+// rows identical to r, since EncodeKey is injective and the index compares
+// encoded keys. Write-path scratch: requires exclusive access.
 func (t *Table) ContainsRow(r sqltypes.Row) bool {
-	if len(r) != len(t.schema.Columns) {
-		return false
-	}
-	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.keyOn(r, t.allCols))] {
-		if sqltypes.IdenticalRows(t.rows[s], r) {
-			return true
-		}
-	}
-	return false
+	return len(r) == len(t.schema.Columns) && t.identityIndex().rowBucket(r) != nil
 }
 
 // Delete removes every live row for which match returns true and reports
@@ -346,14 +297,12 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 	if len(r) != len(t.schema.Columns) {
 		return false
 	}
-	ix := t.identityIndex()
-	for _, s := range ix.slots[string(t.keyOn(r, t.allCols))] {
-		if sqltypes.IdenticalRows(t.rows[s], r) {
-			t.deleteSlot(s)
-			return true
-		}
+	b := t.identityIndex().rowBucket(r)
+	if b == nil {
+		return false
 	}
-	return false
+	t.deleteSlot(b[0])
+	return true
 }
 
 // removeRows deletes rows the table yielded since its last write, each from
@@ -363,8 +312,8 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 // buckets; a table with neither is swept once. Nothing is built. It returns
 // the number of rows removed.
 func (t *Table) removeRows(rows []sqltypes.Row) int {
-	var ix *index
-	if t.pkIndex == nil {
+	ix := t.pk
+	if ix == nil {
 		if ix = t.narrowestIndex(); ix == nil {
 			held := make(map[*sqltypes.Value]bool, len(rows))
 			for _, r := range rows {
@@ -385,19 +334,13 @@ func (t *Table) removeRows(rows []sqltypes.Row) int {
 	return n
 }
 
-// slotOf locates the live slot holding r itself through the primary key, or
-// else through ix.
+// slotOf locates, through ix, the live slot holding r itself.
 func (t *Table) slotOf(r sqltypes.Row, ix *index) (int, bool) {
 	if len(r) != len(t.schema.Columns) {
 		return 0, false
 	}
-	holds := func(slot int) bool { return &t.rows[slot][0] == &r[0] }
-	if t.pkIndex != nil {
-		slot, ok := t.pkIndex[string(t.keyOn(r, t.schema.pkOffs))]
-		return slot, ok && holds(slot)
-	}
-	for _, slot := range ix.slots[string(t.keyOn(r, ix.cols))] {
-		if holds(slot) {
+	for _, slot := range ix.rowBucket(r) {
+		if &t.rows[slot][0] == &r[0] {
 			return slot, true
 		}
 	}
@@ -409,7 +352,7 @@ func (t *Table) slotOf(r sqltypes.Row, ix *index) (int, bool) {
 func (t *Table) narrowestIndex() *index {
 	var best *index
 	for _, ix := range t.indexes {
-		if best == nil || len(ix.slots) > len(best.slots) {
+		if best == nil || ix.n > best.n {
 			best = ix
 		}
 	}
@@ -417,47 +360,42 @@ func (t *Table) narrowestIndex() *index {
 }
 
 func (t *Table) deleteSlot(slot int) {
+	// Maintain every index eagerly, while the row is still in its slot (an
+	// index verifies a hash match against its bucket's first row): a freed
+	// slot may be reused by a row with the same key, so stale bucket entries
+	// cannot be detected lazily.
 	r := t.rows[slot]
+	if t.pk != nil {
+		t.pk.remove(r, slot)
+	}
+	for _, ix := range t.indexes {
+		ix.remove(r, slot)
+	}
 	t.alive[slot] = false
 	t.rows[slot] = nil
 	t.free = append(t.free, slot)
 	t.live--
 	t.mutations++
-	if t.pkIndex != nil {
-		delete(t.pkIndex, string(t.keyOn(r, t.schema.pkOffs)))
-	}
-	// Maintain secondary indexes eagerly: a freed slot may be reused by a
-	// row with the same key, so stale bucket entries cannot be detected
-	// lazily.
-	for _, ix := range t.indexes {
-		kb := t.keyOn(r, ix.cols)
-		bucket := ix.slots[string(kb)]
-		for i, s := range bucket {
-			if s == slot {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(bucket) == 0 {
-			delete(ix.slots, string(kb))
-		} else {
-			ix.slots[string(kb)] = bucket
-		}
-	}
 }
 
-// Truncate removes all rows. The primary-key and secondary-index maps are
-// cleared in place: they keep their capacity across commits (an event table
-// is truncated twice per commit), and Index handles stay valid.
+// Truncate removes all rows. Every index is cleared in place: it keeps its
+// entries and buckets across commits (an event table is truncated twice per
+// commit), and Index handles stay valid. A table without slots is already
+// empty, indexes included, and returns at once: no row changes, so neither
+// does the mutation count.
 func (t *Table) Truncate() {
+	if len(t.rows) == 0 {
+		return
+	}
 	t.rows = t.rows[:0]
 	t.alive = t.alive[:0]
 	t.free = t.free[:0]
 	t.live = 0
 	t.mutations++
-	clear(t.pkIndex)
+	if t.pk != nil {
+		t.pk.clear()
+	}
 	for _, ix := range t.indexes {
-		clear(ix.slots)
+		ix.clear()
 	}
 }

@@ -209,8 +209,9 @@ func TestScanEqualNullSafeMask(t *testing.T) {
 }
 
 // TestKeysBeyondFloat64Precision: two INTEGERs past 2^53 that round to the
-// same float64 are different keys. The primary-key map and the hash-index
-// buckets trust an encoded-key match without comparing values again.
+// same float64 are different keys. Every index confirms a hash match by
+// comparing encoded keys, and trusts an encoded-key match without comparing
+// values again.
 func TestKeysBeyondFloat64Precision(t *testing.T) {
 	s, err := NewSchema("t", []Column{
 		{Name: "k", Type: sqltypes.KindInt},

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"tintin/internal/sqltypes"
@@ -283,16 +284,17 @@ func skipAllocGuard(t *testing.T) {
 	}
 }
 
-// warmTable returns w(id PRIMARY KEY, grp, v) holding n rows spread over 4
-// groups, plus the rows it holds. withGroups adds an index on grp (buckets
-// of n/4 slots); otherwise the tuple-identity index (one slot per bucket) is
-// built. Every key is at most 27 bytes.
+// warmTable returns w(id PRIMARY KEY, grp, v VARCHAR) holding n rows spread
+// over 4 groups, plus the rows it holds. withGroups adds an index on grp
+// (buckets of n/4 slots); otherwise the tuple-identity index (one slot per
+// bucket) is built. An even row's identity key is 20 bytes long, an odd
+// row's 60.
 func warmTable(t *testing.T, n int, withGroups bool) (*Table, []sqltypes.Row) {
 	t.Helper()
 	s, err := NewSchema("w", []Column{
 		{Name: "id", Type: sqltypes.KindInt},
 		{Name: "grp", Type: sqltypes.KindInt},
-		{Name: "v", Type: sqltypes.KindInt},
+		{Name: "v", Type: sqltypes.KindString},
 	}, []string{"id"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -305,17 +307,25 @@ func warmTable(t *testing.T, n int, withGroups bool) (*Table, []sqltypes.Row) {
 	} else {
 		tb.identityIndex()
 	}
-	rows := make([]sqltypes.Row, n)
-	for i := range rows {
-		rows[i] = sqltypes.Row{ci(int64(i)), ci(int64(i % 4)), ci(int64(-i))}
-		if err := tb.Insert(rows[i]); err != nil {
+	rows := warmRows(0, n)
+	for _, r := range rows {
+		if err := tb.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return tb, rows
 }
 
-// TestTruncateAllocFree: Truncate clears every map in place.
+// warmRows returns the warmTable rows with ids from through to-1.
+func warmRows(from, to int) []sqltypes.Row {
+	rows := make([]sqltypes.Row, 0, to-from)
+	for i := from; i < to; i++ {
+		rows = append(rows, sqltypes.Row{ci(int64(i)), ci(int64(i % 4)), sqltypes.NewString(strings.Repeat("v", i%2*40))})
+	}
+	return rows
+}
+
+// TestTruncateAllocFree: Truncate clears every index in place.
 func TestTruncateAllocFree(t *testing.T) {
 	skipAllocGuard(t)
 	tb, rows := warmTable(t, 256, true)
@@ -324,7 +334,7 @@ func TestTruncateAllocFree(t *testing.T) {
 		if n := allocsDuring(tb.Truncate); n != 0 {
 			t.Fatalf("round %d: Truncate of a %d-row table allocated %d times", round, len(rows), n)
 		}
-		if tb.Len() != 0 || len(tb.pkIndex) != 0 {
+		if tb.Len() != 0 || tb.pk.n != 0 {
 			t.Fatal("Truncate left rows or keys behind")
 		}
 		for _, r := range rows {
@@ -373,11 +383,9 @@ func TestEventLoopsAllocFree(t *testing.T) {
 	}
 }
 
-// TestDeleteRowAllocFree: DeleteRow encodes its keys into the table's scratch
-// and probes and deletes map entries without copying a key. Two limits of
-// the compiler's no-copy string(b) apply, so this table avoids both: delete
-// copies a key longer than 32 bytes, and a bucket that keeps other slots is
-// written back by assignment, which copies its key.
+// TestDeleteRowAllocFree: DeleteRow encodes its keys into the table's scratch,
+// probes, and frees index entries without copying a key, whatever the key's
+// length: half the identity keys here are longer than 32 bytes.
 func TestDeleteRowAllocFree(t *testing.T) {
 	skipAllocGuard(t)
 	tb, rows := warmTable(t, 256, false)
@@ -403,9 +411,8 @@ func TestDeleteRowAllocFree(t *testing.T) {
 }
 
 // TestInsertAllocs: an Insert into a warm table — free slots, buckets with
-// spare capacity — allocates exactly once per map it writes, for the key
-// copy a Go map assignment stores (even when the key is present), and
-// nothing else: no key buffer, no bucket growth, no slot growth.
+// spare capacity, pooled buckets for the freed primary keys — allocates
+// nothing: no key copy, no key buffer, no bucket, no slot growth.
 func TestInsertAllocs(t *testing.T) {
 	skipAllocGuard(t)
 	tb, rows := warmTable(t, 256, true)
@@ -417,16 +424,54 @@ func TestInsertAllocs(t *testing.T) {
 			}
 		}
 	})
-	const maps = 2 // pkIndex and the grp index
-	if n != 64*maps {
-		t.Fatalf("64 warm inserts allocated %d times, want %d (one key copy per map written)", n, 64*maps)
+	if n != 0 {
+		t.Fatalf("64 warm inserts allocated %d times", n)
+	}
+}
+
+// TestIndexChurnAllocFree: on a warm table with a primary key, a secondary
+// index and the identity index, deleting the oldest rows and inserting rows
+// under keys the table has never held allocates nothing. Every new key takes
+// a bucket a deleted key gave back, and the live key count, hence the entry
+// array, stays put.
+func TestIndexChurnAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	const live, batch, rounds = 256, 64, 8
+	tb, _ := warmTable(t, live, true)
+	tb.identityIndex()
+	rows := warmRows(0, live+batch*(rounds+1))
+	oldest := 0
+	churn := func() {
+		for _, r := range rows[oldest : oldest+batch] {
+			if !tb.DeleteRow(r) {
+				panic("row not found")
+			}
+		}
+		for _, r := range rows[oldest+live : oldest+live+batch] {
+			if err := tb.Insert(r); err != nil {
+				panic(err)
+			}
+		}
+		oldest += batch
+	}
+	churn() // grows the free list once
+	n := allocsDuring(func() {
+		for i := 0; i < rounds; i++ {
+			churn()
+		}
+	})
+	if n != 0 {
+		t.Fatalf("%d rounds of %d deletes and %d new keys allocated %d times", rounds, batch, batch, n)
+	}
+	if tb.Len() != live || tb.LookupEqual([]int{0}, []sqltypes.Value{ci(int64(oldest + live - 1))}) == nil {
+		t.Fatal("the churned table lost rows")
 	}
 }
 
 // TestValidateEventsAllocs: validating a batch against a warm PK table
-// encodes keys into scratch and probes without allocating; what remains is
-// one key copy per pending insertion (the duplicate check among them) and a
-// constant.
+// encodes keys into scratch and probes indexes that already hold them (the
+// base table's primary key, ins_t's index over it for duplicates among the
+// pending insertions), so what it allocates does not grow with the batch.
 func TestValidateEventsAllocs(t *testing.T) {
 	skipAllocGuard(t)
 	db := newKeyedDB(t, 1000)
@@ -448,8 +493,8 @@ func TestValidateEventsAllocs(t *testing.T) {
 	}
 	const pending, constant = 200, 8
 	var verr error
-	if n := allocsDuring(func() { verr = db.ValidateEvents() }); n > pending+constant {
-		t.Fatalf("ValidateEvents of %d pending insertions allocated %d times, want at most %d", pending, n, pending+constant)
+	if n := allocsDuring(func() { verr = db.ValidateEvents() }); n > constant {
+		t.Fatalf("ValidateEvents of %d pending insertions allocated %d times, want at most %d", pending, n, constant)
 	}
 	if verr != nil {
 		t.Fatal(verr)
