@@ -12,7 +12,9 @@
 // them. On top of the incremental/baseline axis, the driver runs the same
 // stream through every execution mode of the incremental checker — serial,
 // parallel, parallel fail-fast, fail-fast, and group commit — and requires
-// them to agree with each other bit-for-bit.
+// them to agree with each other bit-for-bit. The fail-fast mode stages its
+// insertions as multi-row SQL INSERT text, so the parser's literal rows and
+// the engine's INSERT path are under the same oracle.
 //
 // Everything is driven deterministically from a byte stream (the fuzzing
 // input): schema shape, assertion templates, literals, row values, batch
@@ -30,6 +32,7 @@ import (
 	"tintin/internal/edc"
 	"tintin/internal/engine"
 	"tintin/internal/sched"
+	"tintin/internal/sqlparser"
 	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
 )
@@ -183,6 +186,7 @@ type mode struct {
 	name string
 	db   *storage.DB
 	tool *core.Tool
+	sql  bool // stage insertions as SQL text (stageOpsSQL)
 }
 
 // Run executes one full differential case from the byte stream. It returns
@@ -245,6 +249,7 @@ func Run(data []byte) error {
 		if err != nil {
 			return err
 		}
+		mm.sql = m.name == "failfast"
 		modes = append(modes, mm)
 	}
 	serial := modes[0]
@@ -292,7 +297,11 @@ func Run(data []byte) error {
 
 		// Stage the batch into every directly-checked mode.
 		for _, m := range modes {
-			if err := stageOps(m.db, ops); err != nil {
+			stage := stageOps
+			if m.sql {
+				stage = func(db *storage.DB, ops []sched.Op) error { return stageOpsSQL(m.tool.Engine(), db, ops) }
+			}
+			if err := stage(m.db, ops); err != nil {
 				return fmt.Errorf("batch %d: %s: staging: %w", b, m.name, err)
 			}
 		}
@@ -484,6 +493,31 @@ func stageOps(db *storage.DB, ops []sched.Op) error {
 			if err := db.Insert(op.Table, op.Row.Clone()); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// stageOpsSQL stages a batch the way a session does: each run of
+// consecutive insertions into one table becomes one multi-row INSERT, printed
+// by the sqlparser printer and run through engine.ExecSQL. Deletions are
+// staged as stageOps stages them.
+func stageOpsSQL(eng *engine.Engine, db *storage.DB, ops []sched.Op) error {
+	for i := 0; i < len(ops); {
+		if ops[i].Delete {
+			if err := stageOps(db, ops[i:i+1]); err != nil {
+				return err
+			}
+			i++
+			continue
+		}
+		ins := &sqlparser.Insert{Table: ops[i].Table}
+		for ; i < len(ops) && !ops[i].Delete && ops[i].Table == ins.Table; i++ {
+			ins.Rows = append(ins.Rows, sqlparser.Tuple{Values: ops[i].Row})
+		}
+		sql := sqlparser.FormatStatement(ins)
+		if _, err := eng.ExecSQL(sql); err != nil {
+			return fmt.Errorf("difftest: %s: %w", sql, err)
 		}
 	}
 	return nil

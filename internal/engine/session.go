@@ -138,6 +138,9 @@ func (e *Engine) EvalPredicate(expr sqlparser.Expr) (holds, known bool, err erro
 	return t == truthTrue, t != truthUnknown, nil
 }
 
+// execInsert builds every row of the statement, then stores them all or
+// nothing. A literal tuple is its row already: it goes to storage as it is
+// unless a column list reorders it.
 func (e *Engine) execInsert(ins *sqlparser.Insert) (int, error) {
 	t := e.db.Table(ins.Table)
 	if t == nil {
@@ -158,26 +161,35 @@ func (e *Engine) execInsert(ins *sqlparser.Insert) (int, error) {
 			colOffsets = append(colOffsets, off)
 		}
 	}
-	n := 0
-	for _, exprRow := range ins.Rows {
-		if len(exprRow) != len(colOffsets) {
-			return n, fmt.Errorf("engine: INSERT into %s expects %d values, got %d",
-				ins.Table, len(colOffsets), len(exprRow))
+	inOrder := len(colOffsets) == len(schema.Columns)
+	for i, off := range colOffsets {
+		inOrder = inOrder && off == i
+	}
+	rows := make([]sqltypes.Row, len(ins.Rows))
+	for i, tup := range ins.Rows {
+		if tup.Len() != len(colOffsets) {
+			return 0, fmt.Errorf("engine: INSERT into %s expects %d values, got %d",
+				ins.Table, len(colOffsets), tup.Len())
+		}
+		if tup.Exprs == nil && inOrder {
+			rows[i] = tup.Values
+			continue
 		}
 		row := make(sqltypes.Row, len(schema.Columns))
-		for i, expr := range exprRow {
-			v, err := e.EvalConst(expr)
-			if err != nil {
-				return n, err
+		for j, off := range colOffsets {
+			if tup.Exprs == nil {
+				row[off] = tup.Values[j]
+				continue
 			}
-			row[colOffsets[i]] = v
+			v, err := e.EvalConst(tup.Exprs[j])
+			if err != nil {
+				return 0, err
+			}
+			row[off] = v
 		}
-		if err := e.db.Insert(ins.Table, row); err != nil {
-			return n, err
-		}
-		n++
+		rows[i] = row
 	}
-	return n, nil
+	return e.db.InsertRows(ins.Table, rows)
 }
 
 // execDelete plans DELETE FROM t [AS a] WHERE c as SELECT * FROM t [AS a]

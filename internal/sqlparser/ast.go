@@ -45,11 +45,31 @@ type CreateAssertion struct {
 	Check Expr
 }
 
-// Insert is an INSERT INTO statement with literal VALUES rows.
+// Insert is an INSERT INTO statement. Rows holds its VALUES tuples in
+// order, each in exactly one of the two forms of Tuple; the parser gives an
+// all-literal tuple the literal form, so the printed statement re-parses to
+// the same forms.
 type Insert struct {
 	Table   string
 	Columns []string // empty means full-row positional
-	Rows    [][]Expr
+	Rows    []Tuple
+}
+
+// Tuple is one VALUES tuple. A tuple whose items are all literals is the row
+// of their values, Values, and the engine stores that row as it is unless a
+// column list reorders it; any other tuple keeps its items as expressions,
+// Exprs, for the engine to evaluate. Exactly one of the two is non-nil.
+type Tuple struct {
+	Values sqltypes.Row
+	Exprs  []Expr
+}
+
+// Len returns the number of items in the tuple.
+func (t Tuple) Len() int {
+	if t.Exprs != nil {
+		return len(t.Exprs)
+	}
+	return len(t.Values)
 }
 
 // Delete is a DELETE FROM statement.

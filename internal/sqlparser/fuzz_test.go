@@ -13,7 +13,9 @@ import (
 //   - printing is a fixpoint: parse → print → parse → print yields the
 //     same text (so the printer emits exactly the surface syntax the
 //     parser accepts, including numeric-literal edge cases where a REAL
-//     must not reprint as an INTEGER and MinInt64 must survive).
+//     must not reprint as an INTEGER and MinInt64 must survive);
+//   - every VALUES tuple re-parses to the form it printed from: an
+//     all-literal tuple to a row of values, any other to expressions.
 //
 // Run with:
 //
@@ -45,6 +47,11 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"SELECT 9223372036854775808 FROM t",
 		"SELECT a FROM t WHERE a = 1e999",
 		"SELECT '''', '--', 1.5e-3 FROM t",
+		"INSERT INTO t VALUES (1, 1+1)",
+		"INSERT INTO t VALUES (-5, +5), (- 5, -a)",
+		"INSERT INTO t VALUES ((5), - -5), (TRUE, FALSE)",
+		"INSERT INTO t VALUES ('it''s', NULL), (NULL IS NULL, 'x')",
+		"INSERT INTO t (b, b) VALUES (1, 2)",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -74,6 +81,16 @@ func FuzzParseRoundTrip(f *testing.F) {
 		out2 := FormatStatement(st2)
 		if out != out2 {
 			t.Fatalf("printing is not a fixpoint\ninput: %q\nfirst: %q\nsecond: %q", src, out, out2)
+		}
+		if ins, ok := st.(*Insert); ok {
+			for i, tup := range ins.Rows {
+				if (tup.Values == nil) == (tup.Exprs == nil) {
+					t.Fatalf("tuple %d of %q has both forms or neither: %+v", i, src, tup)
+				}
+				if again := st2.(*Insert).Rows[i]; (again.Values == nil) != (tup.Values == nil) {
+					t.Fatalf("tuple %d of %q changed form on re-parse\nprinted: %q", i, src, out)
+				}
+			}
 		}
 	})
 }

@@ -4,6 +4,12 @@
 // UNION, plus the DDL and DML needed to drive the engine (CREATE TABLE /
 // VIEW / ASSERTION, INSERT, DELETE). Aggregates and arithmetic functions are
 // rejected, matching the fragment supported by the paper.
+//
+// The parser pulls tokens from a Lexer as it goes and looks at most three
+// tokens ahead; a lexing error anywhere in the input still takes precedence
+// over a parse error. An INSERT's all-literal VALUES tuple is parsed straight
+// into the row the engine stores (Tuple.Values), with no expression node per
+// value, and FormatStatement prints both tuple forms alike.
 package sqlparser
 
 import (
@@ -45,17 +51,36 @@ func (t Token) String() string {
 	}
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AS": true, "AND": true,
-	"OR": true, "NOT": true, "EXISTS": true, "IN": true, "UNION": true,
-	"ALL": true, "DISTINCT": true, "CREATE": true, "TABLE": true,
-	"VIEW": true, "ASSERTION": true, "CHECK": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "DELETE": true, "NULL": true,
-	"TRUE": true, "FALSE": true, "PRIMARY": true, "KEY": true,
-	"FOREIGN": true, "REFERENCES": true, "INTEGER": true, "INT": true,
-	"REAL": true, "FLOAT": true, "VARCHAR": true, "TEXT": true,
-	"BOOLEAN": true, "IS": true, "BETWEEN": true, "DROP": true,
-	"COMMIT": true, "CALL": true,
+// keywords maps every reserved word to itself, so a lookup hands back the
+// upper-case spelling without building one.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, w := range strings.Fields(`SELECT FROM WHERE AS AND OR NOT EXISTS IN
+		UNION ALL DISTINCT CREATE TABLE VIEW ASSERTION CHECK INSERT INTO VALUES
+		DELETE NULL TRUE FALSE PRIMARY KEY FOREIGN REFERENCES INTEGER INT REAL
+		FLOAT VARCHAR TEXT BOOLEAN IS BETWEEN DROP COMMIT CALL`) {
+		m[w] = w
+	}
+	return m
+}()
+
+// keyword returns the upper-case spelling of word when it is a keyword. It
+// upper-cases ASCII letters into a stack buffer as long as the longest
+// keyword, so looking up an identifier allocates nothing.
+func keyword(word string) (string, bool) {
+	var buf [len("REFERENCES")]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lexer tokenizes a SQL string.
@@ -139,9 +164,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.pos++
 		}
 		orig := l.src[start:l.pos]
-		upper := strings.ToUpper(orig)
-		if keywords[upper] {
-			return Token{Kind: TokKeyword, Text: upper, Orig: orig, Pos: start, Line: line}, nil
+		if kw, ok := keyword(orig); ok {
+			return Token{Kind: TokKeyword, Text: kw, Orig: orig, Pos: start, Line: line}, nil
 		}
 		return Token{Kind: TokIdent, Text: strings.ToLower(orig), Orig: orig, Pos: start, Line: line}, nil
 
@@ -177,55 +201,18 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: kind, Text: text, Orig: text, Pos: start, Line: line}, nil
 
 	case c == '\'':
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, l.errorf("unterminated string literal")
-			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			if ch == '\n' {
-				l.line++
-			}
-			sb.WriteByte(ch)
-			l.pos++
+		text, err := l.quoted(`'`, "unterminated string literal")
+		if err != nil {
+			return Token{}, err
 		}
-		return Token{Kind: TokString, Text: sb.String(), Orig: sb.String(), Pos: start, Line: line}, nil
+		return Token{Kind: TokString, Text: text, Orig: text, Pos: start, Line: line}, nil
 
 	case c == '"':
 		// Double-quoted identifier; a doubled "" inside is a literal quote.
-		l.pos++
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, l.errorf("unterminated quoted identifier")
-			}
-			ch := l.src[l.pos]
-			if ch == '"' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-					sb.WriteByte('"')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			if ch == '\n' {
-				l.line++
-			}
-			sb.WriteByte(ch)
-			l.pos++
+		name, err := l.quoted(`"`, "unterminated quoted identifier")
+		if err != nil {
+			return Token{}, err
 		}
-		name := sb.String()
 		if name == "" {
 			return Token{}, l.errorf("empty quoted identifier")
 		}
@@ -264,18 +251,29 @@ func (l *Lexer) Next() (Token, error) {
 	return Token{}, l.errorf("unexpected character %q", c)
 }
 
-// Tokenize lexes the whole input, returning all tokens up to and including EOF.
-func Tokenize(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
+// quoted scans the quoted text that opens at l.pos with the one-byte quote
+// q, where a doubled q stands for one q, and returns its contents in a string
+// of their own: a value stored from it does not keep the input alive.
+func (l *Lexer) quoted(q, unterminated string) (string, error) {
+	start := l.pos + 1
+	doubled := false
+	for i := start; i < len(l.src); i++ {
+		switch l.src[i] {
+		case '\n':
+			l.line++
+		case q[0]:
+			if i+1 < len(l.src) && l.src[i+1] == q[0] {
+				doubled = true
+				i++
+				continue
+			}
+			l.pos = i + 1
+			if doubled {
+				return strings.ReplaceAll(l.src[start:i], q+q, q), nil
+			}
+			return strings.Clone(l.src[start:i]), nil
 		}
 	}
+	l.pos = len(l.src)
+	return "", l.errorf("%s", unterminated)
 }

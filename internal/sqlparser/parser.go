@@ -3,51 +3,68 @@ package sqlparser
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"tintin/internal/sqltypes"
 )
 
-// Parser is a recursive-descent parser over a token stream.
-type Parser struct {
-	toks []Token
-	pos  int
+// parser is a recursive-descent parser that pulls tokens from its lexer on
+// demand: it never looks more than three tokens ahead (enough to read "- 5 ,"
+// as one literal item), so it holds no slice of the input's tokens.
+type parser struct {
+	lx     Lexer
+	win    [3]Token // win[:n] are the tokens lexed but not consumed; win[0] is the current one
+	n      int
+	lexErr error        // the first lexing error; the lexer reads as ended from there
+	vals   sqltypes.Row // the literal VALUES tuple being parsed, reused across tuples
 }
 
-// NewParser returns a parser for src, or a lexing error.
-func NewParser(src string) (*Parser, error) {
-	toks, err := Tokenize(src)
+func newParser(src string) *parser { return &parser{lx: Lexer{src: src, line: 1}} }
+
+// done settles the error of a parse that has stopped: a lexing error anywhere
+// in the input wins over a parse error. A parse that failed early lexes the
+// rest of the input first; one that succeeded has lexed it all already.
+func (p *parser) done(err error) error {
 	if err != nil {
-		return nil, err
+		for p.lex().Kind != TokEOF {
+		}
 	}
-	return &Parser{toks: toks}, nil
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
 }
 
 // Parse parses a single statement from src; trailing tokens are an error
 // (a trailing semicolon is allowed).
 func Parse(src string) (Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
+	p := newParser(src)
+	st, err := p.parseStatement()
+	if err == nil {
+		p.acceptSymbol(";")
+		if !p.atEOF() {
+			err = p.errorf("unexpected %s after statement", p.peek())
+		}
 	}
-	st, err := p.ParseStatement()
-	if err != nil {
+	if err := p.done(err); err != nil {
 		return nil, err
-	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after statement", p.peek())
 	}
 	return st, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of statements.
 func ParseScript(src string) ([]Statement, error) {
-	p, err := NewParser(src)
-	if err != nil {
+	p := newParser(src)
+	out, err := p.parseScript()
+	if err := p.done(err); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+func (p *parser) parseScript() ([]Statement, error) {
 	var out []Statement
 	for {
 		for p.acceptSymbol(";") {
@@ -55,7 +72,7 @@ func ParseScript(src string) ([]Statement, error) {
 		if p.atEOF() {
 			return out, nil
 		}
-		st, err := p.ParseStatement()
+		st, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
@@ -68,85 +85,111 @@ func ParseScript(src string) ([]Statement, error) {
 
 // ParseSelect parses a single SELECT query.
 func ParseSelect(src string) (*Select, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	sel, err := p.parseSelect()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.acceptSymbol(";")
+		if !p.atEOF() {
+			err = p.errorf("unexpected %s after query", p.peek())
+		}
 	}
-	p.acceptSymbol(";")
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after query", p.peek())
+	if err := p.done(err); err != nil {
+		return nil, err
 	}
 	return sel, nil
 }
 
 // ParseExpr parses a single boolean/scalar expression.
 func ParseExpr(src string) (Expr, error) {
-	p, err := NewParser(src)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.atEOF() {
+		err = p.errorf("unexpected %s after expression", p.peek())
 	}
-	if !p.atEOF() {
-		return nil, p.errorf("unexpected %s after expression", p.peek())
+	if err := p.done(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
 // --- token helpers ---
 
-func (p *Parser) peek() Token   { return p.toks[p.pos] }
-func (p *Parser) atEOF() bool   { return p.peek().Kind == TokEOF }
-func (p *Parser) next() Token   { t := p.toks[p.pos]; p.pos++; return t }
-func (p *Parser) backup()       { p.pos-- }
-func (p *Parser) save() int     { return p.pos }
-func (p *Parser) restore(s int) { p.pos = s }
+// lex returns the lexer's next token. From the first lexing error on, which
+// it keeps for done, it returns end of input.
+func (p *parser) lex() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF, Pos: p.lx.pos, Line: p.lx.line}
+}
 
-func (p *Parser) errorf(format string, args ...interface{}) error {
-	t := p.peek()
+// tok returns the token k places after the current one (k < len(p.win)).
+func (p *parser) tok(k int) Token {
+	for p.n <= k {
+		p.win[p.n] = p.lex()
+		p.n++
+	}
+	return p.win[k]
+}
+
+func (p *parser) peek() Token { return p.tok(0) }
+func (p *parser) atEOF() bool { return p.peek().Kind == TokEOF }
+
+// next consumes the current token and returns it.
+func (p *parser) next() Token {
+	t := p.tok(0)
+	p.n--
+	copy(p.win[:p.n], p.win[1:])
+	return t
+}
+
+// errorAt reports a syntax error at token t.
+func errorAt(t Token, format string, args ...interface{}) error {
 	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Pos: t.Pos, Line: t.Line}
 }
 
-func (p *Parser) acceptKeyword(kw string) bool {
+func (p *parser) errorf(format string, args ...interface{}) error {
+	return errorAt(p.peek(), format, args...)
+}
+
+func (p *parser) acceptKeyword(kw string) bool {
 	if t := p.peek(); t.Kind == TokKeyword && t.Text == kw {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) error {
 	if !p.acceptKeyword(kw) {
 		return p.errorf("expected %s, found %s", kw, p.peek())
 	}
 	return nil
 }
 
-func (p *Parser) acceptSymbol(sym string) bool {
+func (p *parser) acceptSymbol(sym string) bool {
 	if t := p.peek(); t.Kind == TokSymbol && t.Text == sym {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expectSymbol(sym string) error {
+func (p *parser) expectSymbol(sym string) error {
 	if !p.acceptSymbol(sym) {
 		return p.errorf("expected %q, found %s", sym, p.peek())
 	}
 	return nil
 }
 
-func (p *Parser) expectIdent() (string, error) {
+func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
 	if t.Kind == TokIdent {
-		p.pos++
+		p.next()
 		return t.Text, nil
 	}
 	return "", p.errorf("expected identifier, found %s", t)
@@ -154,8 +197,8 @@ func (p *Parser) expectIdent() (string, error) {
 
 // --- statements ---
 
-// ParseStatement parses one statement.
-func (p *Parser) ParseStatement() (Statement, error) {
+// parseStatement parses one statement.
+func (p *parser) parseStatement() (Statement, error) {
 	t := p.peek()
 	if t.Kind != TokKeyword {
 		return nil, p.errorf("expected statement, found %s", t)
@@ -191,7 +234,7 @@ func (p *Parser) ParseStatement() (Statement, error) {
 	return nil, p.errorf("unsupported statement starting with %s", t)
 }
 
-func (p *Parser) parseCreate() (Statement, error) {
+func (p *parser) parseCreate() (Statement, error) {
 	p.next() // CREATE
 	switch {
 	case p.acceptKeyword("TABLE"):
@@ -232,12 +275,12 @@ func (p *Parser) parseCreate() (Statement, error) {
 	return nil, p.errorf("expected TABLE, VIEW or ASSERTION after CREATE")
 }
 
-func (p *Parser) parseType() (sqltypes.Kind, error) {
+func (p *parser) parseType() (sqltypes.Kind, error) {
 	t := p.peek()
 	if t.Kind != TokKeyword {
 		return sqltypes.KindNull, p.errorf("expected column type, found %s", t)
 	}
-	p.pos++
+	p.next()
 	switch t.Text {
 	case "INTEGER", "INT":
 		return sqltypes.KindInt, nil
@@ -247,7 +290,7 @@ func (p *Parser) parseType() (sqltypes.Kind, error) {
 		// Optional length: VARCHAR(25) — length is parsed and ignored.
 		if p.acceptSymbol("(") {
 			if tok := p.peek(); tok.Kind == TokInt {
-				p.pos++
+				p.next()
 			}
 			if err := p.expectSymbol(")"); err != nil {
 				return sqltypes.KindNull, err
@@ -257,19 +300,24 @@ func (p *Parser) parseType() (sqltypes.Kind, error) {
 	case "BOOLEAN":
 		return sqltypes.KindBool, nil
 	}
-	p.backup()
-	return sqltypes.KindNull, p.errorf("unsupported column type %s", t)
+	return sqltypes.KindNull, errorAt(t, "unsupported column type %s", t)
 }
 
-func (p *Parser) parseIdentList() ([]string, error) {
+// parseIdentList parses a parenthesised list of names. With unique set, a
+// name listed twice is an error at its second mention.
+func (p *parser) parseIdentList(unique bool) ([]string, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
 	var names []string
 	for {
+		t := p.peek()
 		n, err := p.expectIdent()
 		if err != nil {
 			return nil, err
+		}
+		if unique && slices.Contains(names, n) {
+			return nil, errorAt(t, "column %s is listed twice", formatIdent(n))
 		}
 		names = append(names, n)
 		if !p.acceptSymbol(",") {
@@ -282,7 +330,7 @@ func (p *Parser) parseIdentList() ([]string, error) {
 	return names, nil
 }
 
-func (p *Parser) parseCreateTable() (Statement, error) {
+func (p *parser) parseCreateTable() (Statement, error) {
 	name, err := p.expectIdent()
 	if err != nil {
 		return nil, err
@@ -297,7 +345,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 			if err := p.expectKeyword("KEY"); err != nil {
 				return nil, err
 			}
-			cols, err := p.parseIdentList()
+			cols, err := p.parseIdentList(false)
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +357,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 			if err := p.expectKeyword("KEY"); err != nil {
 				return nil, err
 			}
-			cols, err := p.parseIdentList()
+			cols, err := p.parseIdentList(false)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +368,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			refCols, err := p.parseIdentList()
+			refCols, err := p.parseIdentList(false)
 			if err != nil {
 				return nil, err
 			}
@@ -371,7 +419,7 @@ func (p *Parser) parseCreateTable() (Statement, error) {
 	return ct, nil
 }
 
-func (p *Parser) parseInsert() (Statement, error) {
+func (p *parser) parseInsert() (Statement, error) {
 	p.next() // INSERT
 	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
@@ -381,8 +429,8 @@ func (p *Parser) parseInsert() (Statement, error) {
 		return nil, err
 	}
 	ins := &Insert{Table: table}
-	if p.peek().Kind == TokSymbol && p.peek().Text == "(" {
-		cols, err := p.parseIdentList()
+	if t := p.peek(); t.Kind == TokSymbol && t.Text == "(" {
+		cols, err := p.parseIdentList(true)
 		if err != nil {
 			return nil, err
 		}
@@ -395,21 +443,11 @@ func (p *Parser) parseInsert() (Statement, error) {
 		if err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptSymbol(",") {
-				break
-			}
-		}
-		if err := p.expectSymbol(")"); err != nil {
+		tup, err := p.parseTuple()
+		if err != nil {
 			return nil, err
 		}
-		ins.Rows = append(ins.Rows, row)
+		ins.Rows = append(ins.Rows, tup)
 		if !p.acceptSymbol(",") {
 			break
 		}
@@ -417,7 +455,86 @@ func (p *Parser) parseInsert() (Statement, error) {
 	return ins, nil
 }
 
-func (p *Parser) parseDelete() (Statement, error) {
+// parseTuple parses the items of one VALUES tuple and its closing ")". While
+// every item is a literal the values collect in a row and no expression node
+// is built; the first item that is not turns the tuple into its expression
+// form.
+func (p *parser) parseTuple() (Tuple, error) {
+	vals := p.vals[:0]
+	var exprs []Expr // nil while every item is a literal
+	for {
+		e, v, err := p.parseItem()
+		if err != nil {
+			return Tuple{}, err
+		}
+		switch {
+		case e == nil && exprs == nil:
+			vals = append(vals, v)
+		case e == nil:
+			exprs = append(exprs, &Literal{Value: v})
+		default:
+			if exprs == nil {
+				exprs = make([]Expr, len(vals), len(vals)+1)
+				for i, v := range vals {
+					exprs[i] = &Literal{Value: v}
+				}
+			}
+			exprs = append(exprs, e)
+		}
+		if !p.acceptSymbol(",") {
+			break
+		}
+	}
+	p.vals = vals
+	if err := p.expectSymbol(")"); err != nil {
+		return Tuple{}, err
+	}
+	if exprs != nil {
+		return Tuple{Exprs: exprs}, nil
+	}
+	return Tuple{Values: slices.Clone(vals)}, nil
+}
+
+// parseItem parses one VALUES item. A literal comes back as its value with a
+// nil expression. A number, a signed number, a string, NULL, TRUE or FALSE
+// followed by "," or ")" is read off the token window without building a
+// node; any other item that parses to a *Literal, such as "(5)" or "- -5",
+// is unwrapped.
+func (p *parser) parseItem() (Expr, sqltypes.Value, error) {
+	t := p.peek()
+	switch {
+	case (t.Kind == TokInt || t.Kind == TokFloat) && p.endsItem(1):
+		v, err := p.parseNumber(false)
+		return nil, v, err
+	case t.Kind == TokSymbol && t.Text == "-" && p.endsItem(2):
+		if n := p.tok(1); n.Kind == TokInt || n.Kind == TokFloat {
+			p.next()
+			v, err := p.parseNumber(true)
+			return nil, v, err
+		}
+	case p.endsItem(1):
+		if v, ok := literalValue(t); ok {
+			p.next()
+			return nil, v, nil
+		}
+	}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, sqltypes.Null, err
+	}
+	if lit, ok := e.(*Literal); ok {
+		return nil, lit.Value, nil
+	}
+	return e, sqltypes.Null, nil
+}
+
+// endsItem reports whether the token k places ahead closes a VALUES item.
+func (p *parser) endsItem(k int) bool {
+	t := p.tok(k)
+	return t.Kind == TokSymbol && (t.Text == "," || t.Text == ")")
+}
+
+func (p *parser) parseDelete() (Statement, error) {
 	p.next() // DELETE
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -446,7 +563,7 @@ func (p *Parser) parseDelete() (Statement, error) {
 	return del, nil
 }
 
-func (p *Parser) parseDrop() (Statement, error) {
+func (p *parser) parseDrop() (Statement, error) {
 	p.next() // DROP
 	switch {
 	case p.acceptKeyword("TABLE"):
@@ -467,7 +584,7 @@ func (p *Parser) parseDrop() (Statement, error) {
 
 // --- queries ---
 
-func (p *Parser) parseSelect() (*Select, error) {
+func (p *parser) parseSelect() (*Select, error) {
 	if err := p.expectKeyword("SELECT"); err != nil {
 		return nil, err
 	}
@@ -544,9 +661,9 @@ func (p *Parser) parseSelect() (*Select, error) {
 
 // --- expressions (precedence climbing: OR < AND < NOT < cmp/IN/IS < add < mul < unary) ---
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
-func (p *Parser) parseOr() (Expr, error) {
+func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
@@ -561,7 +678,7 @@ func (p *Parser) parseOr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseAnd() (Expr, error) {
+func (p *parser) parseAnd() (Expr, error) {
 	l, err := p.parseNot()
 	if err != nil {
 		return nil, err
@@ -576,7 +693,7 @@ func (p *Parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
 		// NOT EXISTS folds into the Exists node.
 		if p.acceptKeyword("EXISTS") {
@@ -612,7 +729,7 @@ func foldNot(e Expr) Expr {
 	return &Not{E: e}
 }
 
-func (p *Parser) parseComparison() (Expr, error) {
+func (p *parser) parseComparison() (Expr, error) {
 	if p.acceptKeyword("EXISTS") {
 		q, err := p.parseSubquery()
 		if err != nil {
@@ -714,7 +831,7 @@ func (p *Parser) parseComparison() (Expr, error) {
 			found = false
 		}
 		if found {
-			p.pos++
+			p.next()
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
@@ -725,7 +842,7 @@ func (p *Parser) parseComparison() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) parseAdditive() (Expr, error) {
+func (p *parser) parseAdditive() (Expr, error) {
 	l, err := p.parseMultiplicative()
 	if err != nil {
 		return nil, err
@@ -750,7 +867,7 @@ func (p *Parser) parseAdditive() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseMultiplicative() (Expr, error) {
+func (p *parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
@@ -775,17 +892,17 @@ func (p *Parser) parseMultiplicative() (Expr, error) {
 	}
 }
 
-func (p *Parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (Expr, error) {
 	if p.acceptSymbol("-") {
 		// Fold the sign into an immediately following numeric literal before
 		// parsing its digits, so -9223372036854775808 (int64 min, whose
 		// magnitude alone overflows) parses as the literal it is.
 		if t := p.peek(); t.Kind == TokInt || t.Kind == TokFloat {
-			lit, err := p.parseNumericLiteral(true)
+			v, err := p.parseNumber(true)
 			if err != nil {
 				return nil, err
 			}
-			return lit, nil
+			return &Literal{Value: v}, nil
 		}
 		e, err := p.parseUnary()
 		if err != nil {
@@ -809,36 +926,54 @@ func (p *Parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-// parseNumericLiteral consumes the current INT/FLOAT token, applying an
-// optional leading minus sign. Out-of-range literals are reported at the
-// literal's own position.
-func (p *Parser) parseNumericLiteral(negated bool) (*Literal, error) {
+// parseNumber consumes the current INT/FLOAT token, applying an optional
+// leading minus sign. Out-of-range literals are reported at the literal's
+// own position.
+func (p *parser) parseNumber(negated bool) (sqltypes.Value, error) {
 	t := p.next()
-	text := t.Text
+	sign := ""
 	if negated {
-		text = "-" + text
+		sign = "-"
 	}
 	if t.Kind == TokInt {
-		v, err := strconv.ParseInt(text, 10, 64)
-		if err != nil {
-			return nil, &SyntaxError{
-				Msg: fmt.Sprintf("integer literal %s does not fit in 64 bits", text),
-				Pos: t.Pos, Line: t.Line,
-			}
+		// The magnitude is parsed unsigned, so the sign needs no new string
+		// and -9223372036854775808 (int64 min) still fits.
+		u, err := strconv.ParseUint(t.Text, 10, 64)
+		if err != nil || u > math.MaxInt64 && !(negated && u == 1<<63) {
+			return sqltypes.Null, errorAt(t, "integer literal %s%s does not fit in 64 bits", sign, t.Text)
 		}
-		return &Literal{Value: sqltypes.NewInt(v)}, nil
+		if negated {
+			return sqltypes.NewInt(-int64(u)), nil
+		}
+		return sqltypes.NewInt(int64(u)), nil
 	}
-	v, err := strconv.ParseFloat(text, 64)
+	f, err := strconv.ParseFloat(t.Text, 64)
 	if err != nil {
-		return nil, &SyntaxError{
-			Msg: fmt.Sprintf("numeric literal %s is out of range", text),
-			Pos: t.Pos, Line: t.Line,
-		}
+		return sqltypes.Null, errorAt(t, "numeric literal %s%s is out of range", sign, t.Text)
 	}
-	return &Literal{Value: sqltypes.NewFloat(v)}, nil
+	if negated {
+		f = -f
+	}
+	return sqltypes.NewFloat(f), nil
 }
 
-func (p *Parser) parseSubquery() (*Select, error) {
+// literalValue returns the value of a string, NULL, TRUE or FALSE token.
+func literalValue(t Token) (sqltypes.Value, bool) {
+	switch {
+	case t.Kind == TokString:
+		return sqltypes.NewString(t.Text), true
+	case t.Kind != TokKeyword:
+	case t.Text == "NULL":
+		return sqltypes.Null, true
+	case t.Text == "TRUE":
+		return sqltypes.NewBool(true), true
+	case t.Text == "FALSE":
+		return sqltypes.NewBool(false), true
+	}
+	return sqltypes.Null, false
+}
+
+func (p *parser) parseSubquery() (*Select, error) {
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
@@ -852,27 +987,22 @@ func (p *Parser) parseSubquery() (*Select, error) {
 	return q, nil
 }
 
-func (p *Parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
+	if v, ok := literalValue(t); ok {
+		p.next()
+		return &Literal{Value: v}, nil
+	}
 	switch t.Kind {
 	case TokInt, TokFloat:
-		return p.parseNumericLiteral(false)
-	case TokString:
-		p.pos++
-		return &Literal{Value: sqltypes.NewString(t.Text)}, nil
+		v, err := p.parseNumber(false)
+		if err != nil {
+			return nil, err
+		}
+		return &Literal{Value: v}, nil
 	case TokKeyword:
-		switch t.Text {
-		case "NULL":
-			p.pos++
-			return &Literal{Value: sqltypes.Null}, nil
-		case "TRUE":
-			p.pos++
-			return &Literal{Value: sqltypes.NewBool(true)}, nil
-		case "FALSE":
-			p.pos++
-			return &Literal{Value: sqltypes.NewBool(false)}, nil
-		case "EXISTS":
-			p.pos++
+		if t.Text == "EXISTS" {
+			p.next()
 			q, err := p.parseSubquery()
 			if err != nil {
 				return nil, err
@@ -881,7 +1011,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return nil, p.errorf("unexpected %s in expression", t)
 	case TokIdent:
-		p.pos++
+		p.next()
 		name := t.Text
 		if p.acceptSymbol("(") {
 			return p.parseFuncCall(name)
@@ -896,7 +1026,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		return &ColumnRef{Name: name}, nil
 	case TokSymbol:
 		if t.Text == "(" {
-			p.pos++
+			p.next()
 			// A scalar subquery or a parenthesised expression.
 			if p.peek().Kind == TokKeyword && p.peek().Text == "SELECT" {
 				q, err := p.parseSelect()
@@ -926,7 +1056,7 @@ var knownFuncs = map[string]int{
 	"COUNT": 1, "SUM": 1, "MIN": 1, "MAX": 1, "AVG": 1, "COALESCE": 2,
 }
 
-func (p *Parser) parseFuncCall(name string) (Expr, error) {
+func (p *parser) parseFuncCall(name string) (Expr, error) {
 	upper := strings.ToUpper(name)
 	arity, known := knownFuncs[upper]
 	if !known {

@@ -16,6 +16,22 @@ func parseSelect(t *testing.T, q string) *Select {
 	return sel
 }
 
+// Tokenize lexes the whole input, returning all tokens up to and including EOF.
+func Tokenize(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var out []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexerBasics(t *testing.T) {
 	toks, err := Tokenize("SELECT a.b, 'it''s', 1.5e3 FROM t -- comment\nWHERE x <> 2 /* block */ AND y != 3;")
 	if err != nil {
@@ -430,5 +446,47 @@ func TestBinaryOpHelpers(t *testing.T) {
 	}
 	if _, ok := OpAnd.Negate(); ok {
 		t.Error("Negate on AND must report ok=false")
+	}
+}
+
+func TestInsertDuplicateColumnRejected(t *testing.T) {
+	_, err := Parse("INSERT INTO t (b, a, b) VALUES (1, 2, 3)")
+	se, ok := err.(*SyntaxError)
+	if !ok || se.Pos != 21 || !strings.Contains(se.Msg, "column b") {
+		t.Fatalf("err = %#v, want a SyntaxError naming column b at its second mention (offset 21)", err)
+	}
+}
+
+// TestInsertTupleForms: a VALUES item read straight off the token window has
+// the value ParseExpr gives the same text, and one item that is not a literal
+// puts the whole tuple in expression form.
+func TestInsertTupleForms(t *testing.T) {
+	items := []string{"5", "-5", "- 5", "+5", "(5)", "- -5", "-9223372036854775808", "9223372036854775807",
+		"1.5e3", "-0.0", "-2.25", "'it''s'", "''", "NULL", "TRUE", "FALSE", "(NULL)"}
+	for _, item := range items {
+		e, err := ParseExpr(item)
+		if err != nil {
+			t.Fatalf("ParseExpr(%q): %v", item, err)
+		}
+		want := e.(*Literal).Value
+		st, err := Parse("INSERT INTO t VALUES (" + item + ", " + item + ")")
+		if err != nil {
+			t.Fatalf("%q: %v", item, err)
+		}
+		tup := st.(*Insert).Rows[0]
+		if tup.Exprs != nil || len(tup.Values) != 2 || !sqltypes.Identical(tup.Values[1], want) {
+			t.Errorf("(%s, %s) parses to %+v, want the row (%v, %v)", item, item, tup, want, want)
+		}
+	}
+	st, err := Parse("INSERT INTO t VALUES (1, 1 + 1, 'x'), (2, 3, 'y')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := st.(*Insert).Rows
+	if rows[0].Values != nil || len(rows[0].Exprs) != 3 || rows[1].Exprs != nil || len(rows[1].Values) != 3 {
+		t.Errorf("mixed tuple forms: %+v", rows)
+	}
+	if _, ok := rows[0].Exprs[0].(*Literal); !ok {
+		t.Errorf("the literal before an expression is %T, want *Literal", rows[0].Exprs[0])
 	}
 }

@@ -9,7 +9,8 @@ import (
 // bare when it is a plain lower-case ASCII identifier that does not collide
 // with a keyword, double-quoted (with internal quotes doubled) otherwise.
 func formatIdent(name string) string {
-	bare := name != "" && !keywords[strings.ToUpper(name)]
+	_, reserved := keyword(name)
+	bare := name != "" && !reserved
 	for i := 0; bare && i < len(name); i++ {
 		c := name[i]
 		ok := c == '_' || (c >= 'a' && c <= 'z') || (i > 0 && c >= '0' && c <= '9')
@@ -83,16 +84,20 @@ func FormatStatement(st Statement) string {
 			b.WriteString(" (" + joinIdents(x.Columns) + ")")
 		}
 		b.WriteString(" VALUES ")
-		for i, row := range x.Rows {
+		for i, tup := range x.Rows {
 			if i > 0 {
 				b.WriteString(", ")
 			}
 			b.WriteString("(")
-			for j, e := range row {
+			for j := 0; j < tup.Len(); j++ {
 				if j > 0 {
 					b.WriteString(", ")
 				}
-				writeExpr(&b, e, 0)
+				if tup.Exprs != nil {
+					writeExpr(&b, tup.Exprs[j], 0)
+				} else {
+					b.WriteString(tup.Values[j].String()) // as writeExpr prints a *Literal
+				}
 			}
 			b.WriteString(")")
 		}

@@ -355,16 +355,28 @@ func (db *DB) mustBeWritable(op string) {
 	}
 }
 
-// Insert stores a row in table name, or in its ins_T under capture.
+// Insert stores a row in table name, or in its ins_T under capture. The
+// table keeps r itself unless CheckRow must coerce it: storage never writes
+// into a row it is handed, so the caller may share r but must not change it.
 func (db *DB) Insert(name string, r sqltypes.Row) error {
+	_, err := db.InsertRows(name, []sqltypes.Row{r})
+	return err
+}
+
+// InsertRows stores rows in table name, or in its ins_T under capture, all
+// or nothing: every row passes CheckRow before any is stored, and a row that
+// collides on the primary key removes the rows stored before it. Like
+// Insert, it keeps each row itself; where CheckRow coerces one, the coerced
+// copy is stored and replaces it in rows.
+func (db *DB) InsertRows(name string, rows []sqltypes.Row) (int, error) {
 	t, err := db.writeTarget("Insert", name)
-	switch {
-	case err != nil:
-		return err
-	case t.ins != nil:
-		return t.ins.Insert(r)
+	if err != nil {
+		return 0, err
 	}
-	return t.Insert(r)
+	if t.ins != nil {
+		t = t.ins
+	}
+	return t.insertRows(rows)
 }
 
 // DeleteWhere removes the rows of table name that match, through

@@ -115,7 +115,8 @@ func (s *Schema) PrimaryKeyOffsets() []int { return s.pkOffs }
 
 // CheckRow validates arity, kinds and NOT NULL constraints, coercing
 // numeric literals to the declared column type. It returns the
-// (possibly coerced) row.
+// (possibly coerced) row: r itself when nothing needs coercion, otherwise a
+// copy. It never writes into r.
 func (s *Schema) CheckRow(r sqltypes.Row) (sqltypes.Row, error) {
 	if len(r) != len(s.Columns) {
 		return nil, fmt.Errorf("storage: table %s expects %d values, got %d", s.Name, len(s.Columns), len(r))

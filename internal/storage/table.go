@@ -129,17 +129,36 @@ func (t *Table) HasIndexOn(offs []int) bool {
 }
 
 // Insert validates and stores a row. With a declared primary key, duplicate
-// keys are rejected.
+// keys are rejected. The table keeps r itself unless CheckRow coerces it.
 func (t *Table) Insert(r sqltypes.Row) error {
-	r, err := t.schema.CheckRow(r)
-	if err != nil {
-		return err
+	_, err := t.insertRows([]sqltypes.Row{r})
+	return err
+}
+
+// insertRows stores rows all or nothing, for DB.InsertRows. Every row is
+// checked, and replaced by its coerced copy where CheckRow makes one, before
+// any is stored; a duplicate key then removes the rows stored before it.
+func (t *Table) insertRows(rows []sqltypes.Row) (int, error) {
+	for i, r := range rows {
+		checked, err := t.schema.CheckRow(r)
+		if err != nil {
+			return 0, err
+		}
+		rows[i] = checked
 	}
-	if t.pk != nil && t.pk.rowBucket(r) != nil {
-		return fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
+	for i, r := range rows {
+		if t.pk != nil && t.pk.rowBucket(r) != nil {
+			// Last in, first out: the slots go back on the free list in
+			// the order they came off it.
+			for j := i - 1; j >= 0; j-- {
+				slot, _ := t.slotOf(rows[j], t.pk)
+				t.deleteSlot(slot)
+			}
+			return 0, fmt.Errorf("storage: table %s: duplicate primary key %s", t.Name(), r)
+		}
+		t.insertValidated(r)
 	}
-	t.insertValidated(r)
-	return nil
+	return len(rows), nil
 }
 
 // insertValidated stores a row already proven to satisfy the schema and not

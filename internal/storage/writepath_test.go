@@ -264,6 +264,61 @@ func TestDeleteRowsRemovesWhatWasRead(t *testing.T) {
 	}
 }
 
+// TestInsertRowsKeepsHandedRows: storage stores a handed row as it is and
+// never writes into one. A row CheckRow must coerce is stored as a copy that
+// replaces it in the caller's list, the row itself unchanged. A duplicate key
+// without capture undoes the rows before it, and the table then fills the
+// same slots in the same order as if the failed call had not happened.
+func TestInsertRowsKeepsHandedRows(t *testing.T) {
+	for _, capture := range []bool{false, true} {
+		t.Run(fmt.Sprintf("capture=%v", capture), func(t *testing.T) {
+			s, err := NewSchema("t", []Column{{Name: "id", Type: sqltypes.KindInt}, {Name: "v", Type: sqltypes.KindFloat}}, []string{"id"}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := NewDB("d")
+			tb, err := db.CreateTable(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if capture {
+				db.EnableCapture()
+				tb = tb.ins
+			}
+			exact := sqltypes.Row{ci(1), sqltypes.NewFloat(1.5)}
+			coerce := sqltypes.Row{ci(2), ci(3)}
+			rows := []sqltypes.Row{exact, coerce}
+			if n, err := db.InsertRows("t", rows); n != 2 || err != nil {
+				t.Fatalf("InsertRows = %d, %v", n, err)
+			}
+			if coerce[1].Kind() != sqltypes.KindInt || rows[1][1].Kind() != sqltypes.KindFloat {
+				t.Errorf("coerced row: caller's %v, list's %v; want the caller's unchanged and a REAL copy in the list", coerce, rows[1])
+			}
+			stored := tb.Rows()
+			if len(stored) != 2 || &stored[0][0] != &exact[0] || &stored[1][0] != &rows[1][0] {
+				t.Errorf("table holds %v, not the rows it was handed", stored)
+			}
+			if capture {
+				return // ins_t has no key: duplicates wait for ValidateEvents
+			}
+			tb.DeleteRow(exact) // a free slot to be taken first
+			_, err = db.InsertRows("t", []sqltypes.Row{{ci(4), sqltypes.NewFloat(0)}, {ci(5), sqltypes.NewFloat(0)}, {ci(2), sqltypes.NewFloat(0)}})
+			if err == nil || !strings.Contains(err.Error(), "duplicate primary key (2, 0.0)") {
+				t.Fatalf("err = %v, want a duplicate key", err)
+			}
+			if got := fmt.Sprint(tb.Rows()); got != "[(2, 3.0)]" {
+				t.Errorf("t = %s after the failed InsertRows, want [(2, 3.0)]", got)
+			}
+			if _, err := db.InsertRows("t", []sqltypes.Row{{ci(6), sqltypes.NewFloat(0)}, {ci(7), sqltypes.NewFloat(0)}, {ci(8), sqltypes.NewFloat(0)}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(tb.Rows()); got != "[(6, 0.0) (2, 3.0) (7, 0.0) (8, 0.0)]" {
+				t.Errorf("t in slot order = %s, want [(6, 0.0) (2, 3.0) (7, 0.0) (8, 0.0)]", got)
+			}
+		})
+	}
+}
+
 // allocsDuring reports the heap allocations f makes, on one P like
 // testing.AllocsPerRun so no other goroutine's allocations are counted.
 func allocsDuring(f func()) uint64 {
