@@ -297,11 +297,13 @@ func Run(data []byte) error {
 
 		// Stage the batch into every directly-checked mode.
 		for _, m := range modes {
-			stage := stageOps
+			var err error
 			if m.sql {
-				stage = func(db *storage.DB, ops []sched.Op) error { return stageOpsSQL(m.tool.Engine(), db, ops) }
+				err = stageOpsSQL(m.tool.Engine(), m.db, ops)
+			} else {
+				err = stageOps(m.db, ops)
 			}
-			if err := stage(m.db, ops); err != nil {
+			if err != nil {
 				return fmt.Errorf("batch %d: %s: staging: %w", b, m.name, err)
 			}
 		}
