@@ -124,9 +124,10 @@ func copyResult(res *CommitResult) *CommitResult {
 	return &r
 }
 
-// stageDelta applies a delta's ops through the capture layer: inserts land
-// in ins_T, deletes copy the matched base rows into del_T. Deleting a row
-// that does not exist is a no-op, like DELETE ... WHERE matching nothing.
+// stageDelta applies a delta's ops through the capture layer: an insert's
+// row lands in ins_T itself, and a delete stages the matched base rows in
+// del_T (see storage.DB on row ownership). Deleting a row that does not
+// exist is a no-op, like DELETE ... WHERE matching nothing.
 func (t *Tool) stageDelta(d sched.Delta) error {
 	for _, op := range d.Ops {
 		if op.Delete {

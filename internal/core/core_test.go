@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"tintin/internal/engine"
+	"tintin/internal/sqltypes"
 	"tintin/internal/storage"
 )
 
@@ -283,5 +285,54 @@ func TestNonAssertionStatementRejected(t *testing.T) {
 	tool, _ := newTool(t, DefaultOptions())
 	if _, err := tool.AddAssertion(`SELECT * FROM orders`); err == nil {
 		t.Error("non-assertion accepted")
+	}
+}
+
+// TestViolationRowsAreFresh: a violation's rows are projections the check
+// built, not the staged or base rows they came from, so a caller may write
+// into them. Overwriting every value changes neither the pending events nor,
+// once the update is fixed and committed, the base tables.
+func TestViolationRowsAreFresh(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		tool, eng := newTool(t, opts)
+		// Order 4 arrives without line items, and order 1 loses its only one.
+		mustExec(t, eng, `INSERT INTO orders VALUES (4, 40.0); DELETE FROM lineitem WHERE l_orderkey = 1`)
+		res, err := tool.Check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, v := range res.Violations {
+			for _, r := range v.Rows {
+				for i := range r {
+					r[i] = sqltypes.NewInt(-1)
+					n++
+				}
+			}
+		}
+		if n == 0 {
+			t.Fatal("the update violates nothing")
+		}
+		db := tool.DB()
+		for table, want := range map[string]string{
+			"orders": "[(1, 10.5) (2, 20.0)]", "ins_orders": "[(4, 40.0)]", "del_lineitem": "[(1, 1, 5)]",
+		} {
+			if got := fmt.Sprint(db.MustTable(table).Rows()); got != want {
+				t.Errorf("workers=%d: %s = %s after writing into the violation rows, want %s", workers, table, got, want)
+			}
+		}
+		mustExec(t, eng, `INSERT INTO lineitem VALUES (4, 1, 1), (1, 2, 3)`)
+		if res, err := tool.SafeCommit(); err != nil || !res.Committed {
+			t.Fatalf("fixed update: %+v, %v", res, err)
+		}
+		for table, want := range map[string]string{
+			"orders": "[(1, 10.5) (2, 20.0) (4, 40.0)]", "lineitem": "[(4, 1, 1) (2, 1, 9) (1, 2, 3)]",
+		} {
+			if got := fmt.Sprint(db.MustTable(table).Rows()); got != want {
+				t.Errorf("workers=%d: committed %s = %s, want %s", workers, table, got, want)
+			}
+		}
 	}
 }

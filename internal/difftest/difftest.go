@@ -288,6 +288,7 @@ func Run(data []byte) error {
 		nextPK: map[string]int64{"p": 1, "c": 1},
 	}
 
+	var handed handedRows
 	nBatches := 1 + r.intn(4)
 	for b := 0; b < nBatches; b++ {
 		ops := st.genBatch()
@@ -295,7 +296,8 @@ func Run(data []byte) error {
 			continue
 		}
 
-		// Stage the batch into every directly-checked mode.
+		// Stage the batch into every directly-checked mode. The group mode
+		// is handed the ops' rows themselves.
 		for _, m := range modes {
 			var err error
 			if m.sql {
@@ -306,6 +308,10 @@ func Run(data []byte) error {
 			if err != nil {
 				return fmt.Errorf("batch %d: %s: staging: %w", b, m.name, err)
 			}
+			handed.recordStaged(m.db)
+		}
+		for _, op := range ops {
+			handed.record(op.Row)
 		}
 
 		// Baseline verdict first: CheckAfter needs the still-staged events.
@@ -363,7 +369,13 @@ func Run(data []byte) error {
 			return fmt.Errorf("difftest: batch %d: serial vs group verdicts differ: %s", b, d)
 		}
 
-		// (5) all five databases hold identical committed state.
+		// (5) no row handed to storage, in this batch or an earlier one, has
+		// changed.
+		if err := handed.check(); err != nil {
+			return fmt.Errorf("batch %d: %w", b, err)
+		}
+
+		// (6) all five databases hold identical committed state.
 		want := snapshot(serial.db)
 		for _, m := range append(modes[1:], group) {
 			if got := snapshot(m.db); got != want {
@@ -480,6 +492,42 @@ func (st *streamState) apply(ops []sched.Op) {
 	}
 }
 
+// handedRows records rows handed to storage, each with its encoding at the
+// time. Storage never writes into a row it is handed (see storage.DB on row
+// ownership), and check proves it.
+type handedRows struct {
+	rows []sqltypes.Row
+	keys []string
+}
+
+func (h *handedRows) record(r sqltypes.Row) {
+	h.rows = append(h.rows, r)
+	h.keys = append(h.keys, r.Key())
+}
+
+// recordStaged records every row db has staged: the rows it was handed and
+// the base rows its deletions matched.
+func (h *handedRows) recordStaged(db *storage.DB) {
+	for _, name := range db.TableNames() {
+		if _, _, isEvt := storage.IsEventTable(name); isEvt {
+			db.MustTable(name).Scan(func(r sqltypes.Row) bool {
+				h.record(r)
+				return true
+			})
+		}
+	}
+}
+
+// check fails if any recorded row now encodes differently.
+func (h *handedRows) check() error {
+	for i, r := range h.rows {
+		if r.Key() != h.keys[i] {
+			return fmt.Errorf("difftest: a row handed to storage changed after the hand-over; it is now %s", r)
+		}
+	}
+	return nil
+}
+
 // stageOps routes a batch through the capture machinery of one database:
 // inserts land in ins_T, deletes in del_T.
 func stageOps(db *storage.DB, ops []sched.Op) error {
@@ -492,6 +540,8 @@ func stageOps(db *storage.DB, ops []sched.Op) error {
 				return err
 			}
 		} else {
+			// A clone: the oracle's state must not share memory with the
+			// system under test.
 			if err := db.Insert(op.Table, op.Row.Clone()); err != nil {
 				return err
 			}

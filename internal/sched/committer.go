@@ -10,7 +10,9 @@ import (
 )
 
 // Op is one row-level change a session proposes: an insertion or a deletion
-// of exactly this row.
+// of exactly this row. An inserted Row is handed to storage uncopied and
+// becomes the stored row (see storage.DB on row ownership), so the session
+// must not change it once it has proposed the Op.
 type Op struct {
 	Table  string
 	Row    sqltypes.Row

@@ -47,6 +47,15 @@ func IsEventTable(name string) (base string, isIns, ok bool) {
 // Inside WhileFrozen — the only way to freeze it — the database is an
 // immutable snapshot: its DB-level writes fail, and any number of
 // goroutines may read it.
+//
+// Row ownership: a row handed to storage is the row storage keeps, through
+// the commit and afterwards. Insert and InsertRows store the row itself
+// (a copy only where CheckRow must coerce it), DeleteRows under capture
+// stages the matched base row itself in del_T, and ApplyEvents moves each
+// ins_T row into its base table. Storage never writes into a row, so rows
+// may be shared, between tables and between databases; in return a caller
+// must not change a row after handing it in. The rows storage yields (Scan,
+// Rows, index probes) are read-only too.
 type DB struct {
 	Name string
 
@@ -356,8 +365,8 @@ func (db *DB) mustBeWritable(op string) {
 }
 
 // Insert stores a row in table name, or in its ins_T under capture. The
-// table keeps r itself unless CheckRow must coerce it: storage never writes
-// into a row it is handed, so the caller may share r but must not change it.
+// table keeps r itself unless CheckRow must coerce it; see DB on row
+// ownership.
 func (db *DB) Insert(name string, r sqltypes.Row) error {
 	_, err := db.InsertRows(name, []sqltypes.Row{r})
 	return err
@@ -366,8 +375,8 @@ func (db *DB) Insert(name string, r sqltypes.Row) error {
 // InsertRows stores rows in table name, or in its ins_T under capture, all
 // or nothing: every row passes CheckRow before any is stored, and a row that
 // collides on the primary key removes the rows stored before it. Like
-// Insert, it keeps each row itself; where CheckRow coerces one, the coerced
-// copy is stored and replaces it in rows.
+// Insert, it keeps each row itself (see DB on row ownership); where CheckRow
+// coerces one, the coerced copy is stored and replaces it in rows.
 func (db *DB) InsertRows(name string, rows []sqltypes.Row) (int, error) {
 	t, err := db.writeTarget("Insert", name)
 	if err != nil {
@@ -380,7 +389,7 @@ func (db *DB) InsertRows(name string, rows []sqltypes.Row) (int, error) {
 }
 
 // DeleteWhere removes the rows of table name that match, through
-// DeleteRows: under capture they are copied into its del_T instead and the
+// DeleteRows: under capture they are staged in its del_T instead and the
 // base table is left untouched. Returns the number of affected rows.
 func (db *DB) DeleteWhere(name string, match func(sqltypes.Row) bool) (int, error) {
 	var rows []sqltypes.Row
@@ -397,11 +406,12 @@ func (db *DB) DeleteWhere(name string, match func(sqltypes.Row) bool) (int, erro
 
 // DeleteRows removes rows from table name, where each row is one the table
 // yielded (Scan, an index probe) with no write to the table since; under
-// capture they are copied into its del_T instead, once per distinct row, and
-// the base table is left untouched. It builds no index the table does not
-// already have; its cost is linear in len(rows) unless it must delete from a
-// table with neither a primary key nor an index, which it sweeps once.
-// Returns the number of affected rows.
+// capture the rows themselves are staged in its del_T instead, once per
+// distinct row, and the base table is left untouched (see DB on row
+// ownership). It builds no index the table does not already have; its cost
+// is linear in len(rows) unless it must delete from a table with neither a
+// primary key nor an index, which it sweeps once. Returns the number of
+// affected rows.
 func (db *DB) DeleteRows(name string, rows []sqltypes.Row) (int, error) {
 	t, err := db.writeTarget("DeleteRows", name)
 	switch {
@@ -414,7 +424,7 @@ func (db *DB) DeleteRows(name string, rows []sqltypes.Row) (int, error) {
 		if t.del.ContainsRow(r) {
 			continue // capture is idempotent
 		}
-		if err := t.del.Insert(r.Clone()); err != nil {
+		if err := t.del.Insert(r); err != nil {
 			return 0, err
 		}
 	}
@@ -522,12 +532,13 @@ func (db *DB) ValidateEvents() error {
 
 // ApplyEvents replays pending events onto the base tables (deletions first,
 // then insertions) and truncates the event tables — the commit step of
-// safeCommit. The replay writes the base tables directly, never through the
-// capturing DB.Insert, which is the paper's "disable the triggers, apply,
-// re-enable" sequence. It is all-or-nothing: the batch is validated up front
-// (unless ValidateEvents already proved it and no table has been written
-// since), and on error the base tables and the pending events are both
-// untouched.
+// safeCommit. Each ins_T row moves into its base table uncopied (see DB on
+// row ownership). The replay writes the base tables directly, never through
+// the capturing DB.Insert, which is the paper's "disable the triggers,
+// apply, re-enable" sequence. It is all-or-nothing: the batch is validated
+// up front (unless ValidateEvents already proved it and no table has been
+// written since), and on error the base tables and the pending events are
+// both untouched.
 func (db *DB) ApplyEvents() error {
 	if err := db.writable("ApplyEvents"); err != nil {
 		return err
@@ -551,7 +562,7 @@ func (db *DB) ApplyEvents() error {
 			// the way in, and validation proved the keys: insert without
 			// either.
 			base.ins.Scan(func(r sqltypes.Row) bool {
-				base.insertValidated(r.Clone())
+				base.insertValidated(r)
 				return true
 			})
 		}

@@ -162,7 +162,9 @@ func (t *Table) appendRows(b []byte) []byte {
 }
 
 // decodeRows reads what appendRows wrote and inserts the rows into t. The
-// rows share one backing array, each capped at its own values.
+// rows share one backing array, each capped at its own values. That holds
+// for a snapshot's base rows and for a WAL record's staged rows alike:
+// ApplyEvents moves the latter into their base table, chunk and all.
 func (t *Table) decodeRows(c *sqltypes.Cursor) error {
 	arity := len(t.schema.Columns)
 	vals := make([]sqltypes.Value, c.Count(arity)*arity) // a value is at least 1 byte

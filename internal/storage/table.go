@@ -198,7 +198,8 @@ func (t *Table) Scan(yield func(sqltypes.Row) bool) {
 	}
 }
 
-// Rows returns a snapshot copy of all live rows.
+// Rows returns the live rows in a new slice. The rows are the stored rows
+// themselves, read-only like the rows Scan yields.
 func (t *Table) Rows() []sqltypes.Row {
 	out := make([]sqltypes.Row, 0, t.live)
 	t.Scan(func(r sqltypes.Row) bool {
@@ -325,22 +326,29 @@ func (t *Table) DeleteRow(r sqltypes.Row) bool {
 }
 
 // removeRows deletes rows the table yielded since its last write, each from
-// the slot holding that very row (its backing array, not an identical copy),
-// so a bag's duplicates each lose exactly the copy that was read. A row is
-// found through the primary key or the existing index with the smallest
-// buckets; a table with neither is swept once. Nothing is built. It returns
-// the number of rows removed.
+// a slot holding that very row (its backing array, not an identical copy),
+// so a bag's duplicates each lose exactly the copy that was read, and a row
+// one bag holds in several slots loses one slot per read. A row is found
+// through the primary key or the existing index with the smallest buckets; a
+// table with neither is swept once. Nothing is built. It returns the number
+// of rows removed.
 func (t *Table) removeRows(rows []sqltypes.Row) int {
 	ix := t.pk
 	if ix == nil {
 		if ix = t.narrowestIndex(); ix == nil {
-			held := make(map[*sqltypes.Value]bool, len(rows))
+			reads := make(map[*sqltypes.Value]int, len(rows))
 			for _, r := range rows {
 				if len(r) > 0 {
-					held[&r[0]] = true
+					reads[&r[0]]++
 				}
 			}
-			return t.Delete(func(r sqltypes.Row) bool { return held[&r[0]] })
+			return t.Delete(func(r sqltypes.Row) bool {
+				if reads[&r[0]] == 0 {
+					return false
+				}
+				reads[&r[0]]--
+				return true
+			})
 		}
 	}
 	n := 0
@@ -399,13 +407,16 @@ func (t *Table) deleteSlot(slot int) {
 
 // Truncate removes all rows. Every index is cleared in place: it keeps its
 // entries and buckets across commits (an event table is truncated twice per
-// commit), and Index handles stay valid. A table without slots is already
-// empty, indexes included, and returns at once: no row changes, so neither
-// does the mutation count.
+// commit), and Index handles stay valid. The dropped slots are cleared, so
+// the kept array keeps no row alive: after a commit, del_T's slots held the
+// base rows it deleted. A table without slots is already empty, indexes
+// included, and returns at once: no row changes, so neither does the
+// mutation count.
 func (t *Table) Truncate() {
 	if len(t.rows) == 0 {
 		return
 	}
+	clear(t.rows)
 	t.rows = t.rows[:0]
 	t.alive = t.alive[:0]
 	t.free = t.free[:0]

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"tintin/internal/sqltypes"
 )
@@ -599,5 +600,177 @@ func TestSaveAllocs(t *testing.T) {
 	})
 	if n >= rows/100 {
 		t.Fatalf("Save of %d rows allocated %d times, want fewer than %d", rows, n, rows/100)
+	}
+}
+
+// TestDeleteRowsSharedRowInBag: a bag may hold one row in two slots, as
+// when the same row is inserted twice, or staged twice and committed.
+// Without an index DeleteRows finds a row by its backing array, and each
+// read of it removes exactly one slot.
+func TestDeleteRowsSharedRowInBag(t *testing.T) {
+	s, err := NewSchema("t", []Column{{Name: "a", Type: sqltypes.KindInt}, {Name: "b", Type: sqltypes.KindInt}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDB("d")
+	tb, err := db.CreateTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := sqltypes.Row{ci(1), ci(2)}
+	for i := 0; i < 3; i++ {
+		if err := db.Insert("t", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, reads := range []int{1, 2} {
+		left := tb.Len()
+		read := tb.Rows()[:reads]
+		if n, err := db.DeleteRows("t", read); n != reads || err != nil || tb.Len() != left-reads {
+			t.Fatalf("DeleteRows of %d reads of %d slots = %d, %v, leaving %d; want %d leaving %d", reads, left, n, err, tb.Len(), reads, left-reads)
+		}
+	}
+}
+
+// TestTruncateReleasesRows: once a commit has applied a staged deletion,
+// nothing in storage holds the deleted row; Truncate clears the slots it
+// drops, so del_t's array does not keep the row alive until a later batch
+// reuses them.
+func TestTruncateReleasesRows(t *testing.T) {
+	db := newKeyedDB(t, 0)
+	freed := make(chan struct{})
+	func() {
+		if err := db.MustTable("t").Insert(sqltypes.Row{ci(1), ci(10)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.DeleteWhere("t", func(sqltypes.Row) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		db.MustTable(DelTable("t")).Scan(func(r sqltypes.Row) bool {
+			runtime.SetFinalizer(&r[0], func(*sqltypes.Value) { close(freed) })
+			return true
+		})
+		if err := db.ApplyEvents(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			if db.MustTable("t").Len() != 0 {
+				t.Fatal("the commit did not delete the row")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the database still holds the deleted row after the commit")
+}
+
+// churnDB returns newKeyedDB(n) with a secondary index on v, and stages
+// into it a batch of n deletions, the oldest keys, and n insertions under
+// keys it has never held. Each call of the returned function stages the
+// next such batch.
+func churnDB(t *testing.T, n int) (*DB, func()) {
+	t.Helper()
+	db := newKeyedDB(t, n)
+	if err := db.MustTable("t").EnsureIndex("v"); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	stage := func() {
+		if _, err := db.DeleteWhere("t", func(r sqltypes.Row) bool { return r[0].Int() < int64(next+n) }); err != nil {
+			panic(err)
+		}
+		for k := next + n; k < next+2*n; k++ {
+			if err := db.Insert("t", sqltypes.Row{ci(int64(k)), ci(int64(10 * k))}); err != nil {
+				panic(err)
+			}
+		}
+		next += n
+	}
+	stage()
+	return db, stage
+}
+
+// TestApplyEventsAllocFree: a validated batch of deletions and insertions
+// applies to a warm keyed table with a secondary index without allocating,
+// whatever its size: the staged rows move into the base table, and the
+// indexes reuse the entries and buckets the deleted keys gave back.
+func TestApplyEventsAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	for _, n := range []int{100, 1000} {
+		db, stage := churnDB(t, n)
+		apply := func() {
+			if err := db.ApplyEvents(); err != nil {
+				panic(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			if err := db.ValidateEvents(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := allocsDuring(apply); round > 0 && allocs != 0 {
+				t.Errorf("round %d: ApplyEvents of %d deletions and %d insertions allocated %d times", round, n, n, allocs)
+			}
+			stage()
+		}
+		if got := db.MustTable("t").Len(); got != n {
+			t.Fatalf("t holds %d rows after the churn, want %d", got, n)
+		}
+	}
+}
+
+// TestDeleteRowsCaptureAllocFree: under capture, DeleteRows stages the
+// matched base rows themselves in a warm del_t, so it allocates nothing.
+func TestDeleteRowsCaptureAllocFree(t *testing.T) {
+	skipAllocGuard(t)
+	const n = 1000
+	db := newKeyedDB(t, 2*n)
+	matched := db.MustTable("t").Rows()[:n]
+	for round := 0; round < 3; round++ {
+		var err error
+		if allocs := allocsDuring(func() { _, err = db.DeleteRows("t", matched) }); round > 0 && allocs != 0 {
+			t.Errorf("round %d: staging %d deletions allocated %d times", round, n, allocs)
+		}
+		if err != nil || db.MustTable(DelTable("t")).Len() != n {
+			t.Fatalf("staged %d deletions (err %v), want %d", db.MustTable(DelTable("t")).Len(), err, n)
+		}
+		db.TruncateEvents()
+	}
+}
+
+// TestApplyMovesStagedRows: a row changes owner instead of being copied.
+// del_t holds the matched base row itself, and after the commit the base
+// table holds the very row handed to Insert.
+func TestApplyMovesStagedRows(t *testing.T) {
+	db := newKeyedDB(t, 2)
+	var old sqltypes.Row
+	db.MustTable("t").Scan(func(r sqltypes.Row) bool {
+		old = r
+		return false
+	})
+	if _, err := db.DeleteRows("t", []sqltypes.Row{old}); err != nil {
+		t.Fatal(err)
+	}
+	staged := db.MustTable(DelTable("t")).Rows()
+	if len(staged) != 1 || &staged[0][0] != &old[0] {
+		t.Error("del_t does not hold the base row itself")
+	}
+	r := sqltypes.Row{ci(7), ci(70)}
+	if err := db.Insert("t", r); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.ApplyEvents(); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	db.MustTable("t").Scan(func(s sqltypes.Row) bool {
+		found = found || &s[0] == &r[0]
+		return true
+	})
+	if !found || db.MustTable("t").Len() != 2 {
+		t.Errorf("t = %v after the commit; want the inserted row itself beside one old row", db.MustTable("t").Rows())
 	}
 }

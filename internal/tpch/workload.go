@@ -9,6 +9,10 @@ import (
 
 // Update is a batch of tuple insertions and deletions, the unit of the
 // paper's experiments ("1 MB to 5 MB of tuple insertions/deletions").
+//
+// Stage and ApplyDirect hand the batch's rows to storage uncopied (see
+// storage.DB on row ownership), and a delete list holds the base rows
+// themselves: no row of an Update may change once it is built.
 type Update struct {
 	Label   string
 	Inserts map[string][]sqltypes.Row // table -> rows
@@ -45,7 +49,7 @@ func (u *Update) Stage(db *storage.DB) error {
 			return fmt.Errorf("tpch: no event table for %s (tool not installed?)", table)
 		}
 		for _, r := range rows {
-			if err := t.Insert(r.Clone()); err != nil {
+			if err := t.Insert(r); err != nil {
 				return err
 			}
 		}
@@ -56,7 +60,7 @@ func (u *Update) Stage(db *storage.DB) error {
 			return fmt.Errorf("tpch: no event table for %s (tool not installed?)", table)
 		}
 		for _, r := range rows {
-			if err := t.Insert(r.Clone()); err != nil {
+			if err := t.Insert(r); err != nil {
 				return err
 			}
 		}
@@ -77,7 +81,7 @@ func (u *Update) ApplyDirect(db *storage.DB) error {
 	for table, rows := range u.Inserts {
 		t := db.MustTable(table)
 		for _, r := range rows {
-			if err := t.Insert(r.Clone()); err != nil {
+			if err := t.Insert(r); err != nil {
 				return err
 			}
 		}
@@ -146,10 +150,8 @@ func (g *Generator) cleanUpdateRows(label string, target int) (*Update, error) {
 				continue
 			}
 			deleted[o] = true
-			u.Deletes["orders"] = append(u.Deletes["orders"], ordRows[0].Clone())
-			for _, r := range rows {
-				u.Deletes["lineitem"] = append(u.Deletes["lineitem"], r.Clone())
-			}
+			u.Deletes["orders"] = append(u.Deletes["orders"], ordRows[0])
+			u.Deletes["lineitem"] = append(u.Deletes["lineitem"], rows...)
 		}
 	}
 	return u, nil
